@@ -11,7 +11,7 @@
 //! tracks the per-record variance, and self-normalize:
 //!
 //! ```text
-//! V̂_adaptive = (1/n) Σ_k (h_k · Γ_k) · (n / Σ_j h_j)
+//! V̂_adaptive = Σ_k h_k · Γ_k  /  Σ_k h_k
 //! ```
 //!
 //! where `Γ_k` is the underlying estimator's per-record contribution
@@ -28,20 +28,20 @@
 //! zero influence, and `E[h_k·Γ_k | history] = h_k·V` keeps the
 //! normalized estimator consistent.
 //!
+//! Both sums are running left folds, so every engine computes the value
+//! from O(1) state. Each record's reported contribution (for bootstrap)
+//! is `h_k·Γ_k · n/Σh`.
+//!
 //! With [`AdaptiveWeights::Constant`] every `h_k` is `1.0` and the
 //! expression collapses **bit-identically** onto plain IPS/DR: `1.0·Γ`
-//! is exact, `Σ_j 1.0 = n` is exact for any trace that fits in memory,
-//! and `n/n = 1.0` is exact — pinned by the reduction property tests.
+//! is exact, and `Σ_k 1.0 = n` is exact for any trace that fits in
+//! memory — pinned by the reduction property tests.
 
-use crate::batch::{note_reuse, BatchEstimator, EvalBatch};
-use crate::dr::dr_contributions_batch;
-use crate::estimate::{
-    check_space, emit_weight_health, Estimate, Estimator, EstimatorError, WeightDiagnostics,
-};
-use crate::ips::importance_weights;
+use crate::dr::DoublyRobust;
+use crate::estimate::EstimatorError;
+use crate::ips::Ips;
+use crate::kernel::{Fold, Kernel, Norm, Row, Source};
 use ddn_models::RewardModel;
-use ddn_policy::Policy;
-use ddn_trace::Trace;
 
 /// EMA decay for the squared-weight variance tracker: each record moves
 /// the tracked `E[w²]` 5% toward its own `w²`, so the stabilizer adapts
@@ -75,40 +75,6 @@ impl AdaptiveWeights {
     pub(crate) fn advance(m: f64, w: f64) -> f64 {
         (1.0 - EMA_ALPHA) * m + EMA_ALPHA * (w * w)
     }
-}
-
-/// Per-record stabilizers `h_k` from the weight stream: `h_k` sees only
-/// `w_j, j < k`, starting from a tracker value of `1` (no history).
-fn stabilizers(weights: &[f64], mode: AdaptiveWeights) -> Vec<f64> {
-    let mut m = 1.0_f64;
-    weights
-        .iter()
-        .map(|&w| {
-            let h = mode.h_at(m);
-            m = AdaptiveWeights::advance(m, w);
-            h
-        })
-        .collect()
-}
-
-/// Folds stabilized contributions `(h_k·Γ_k)·(n/Σh)` — the shared tail of
-/// both adaptive estimators. Errors with [`EstimatorError::NoUsableRecords`]
-/// when the stabilizer mass is not positive (mirroring SNIPS).
-fn stabilized_contributions(
-    gammas: &[f64],
-    hs: &[f64],
-) -> Result<(Vec<f64>, f64), EstimatorError> {
-    let hsum: f64 = hs.iter().sum();
-    if hsum <= 0.0 {
-        return Err(EstimatorError::NoUsableRecords);
-    }
-    let scale = gammas.len() as f64 / hsum;
-    let per_record = gammas
-        .iter()
-        .zip(hs)
-        .map(|(g, h)| (h * g) * scale)
-        .collect();
-    Ok((per_record, hsum))
 }
 
 /// Adaptively-weighted IPS — see the module docs for the estimand.
@@ -154,47 +120,19 @@ impl AdaptiveIps {
     }
 }
 
-impl Estimator for AdaptiveIps {
-    fn name(&self) -> &str {
-        "AdaptiveIPS"
+impl Kernel for AdaptiveIps {
+    const NAME: &'static str = "AdaptiveIPS";
+
+    fn norm(&self) -> Norm {
+        Norm::Stabilized(self.mode)
     }
 
-    fn estimate(&self, trace: &Trace, new_policy: &dyn Policy) -> Result<Estimate, EstimatorError> {
-        check_space(trace, new_policy)?;
-        let weights = importance_weights(trace, new_policy)?;
-        let hs = stabilizers(&weights, self.mode);
-        let gammas: Vec<f64> = trace
-            .records()
-            .iter()
-            .zip(&weights)
-            .map(|(rec, &w)| w * rec.reward)
-            .collect();
-        let (per_record, hsum) = stabilized_contributions(&gammas, &hs)?;
-        let diagnostics = WeightDiagnostics::from_weights(&weights);
-        emit_weight_health(self.name(), &diagnostics, &[("hsum", hsum)]);
-        Ok(Estimate::from_contributions(per_record, diagnostics))
+    fn row<S: Source>(&self, s: &S) -> Result<Option<Row>, EstimatorError> {
+        Ips.row(s)
     }
-}
 
-impl BatchEstimator for AdaptiveIps {
-    fn estimate_batch(
-        &self,
-        trace: &Trace,
-        batch: &EvalBatch,
-    ) -> Result<Estimate, EstimatorError> {
-        batch.check_trace(trace);
-        let weights = batch.weights()?;
-        note_reuse(self.name(), trace.len() as u64, 0);
-        let hs = stabilizers(&weights, self.mode);
-        let gammas: Vec<f64> = weights
-            .iter()
-            .zip(batch.rewards())
-            .map(|(&w, r)| w * r)
-            .collect();
-        let (per_record, hsum) = stabilized_contributions(&gammas, &hs)?;
-        let diagnostics = WeightDiagnostics::from_weights(weights);
-        emit_weight_health(self.name(), &diagnostics, &[("hsum", hsum)]);
-        Ok(Estimate::from_contributions(per_record, diagnostics))
+    fn extras(&self, fold: &Fold) -> Vec<(&'static str, f64)> {
+        vec![("hsum", fold.hsum())]
     }
 }
 
@@ -205,19 +143,22 @@ impl BatchEstimator for AdaptiveIps {
 /// [`crate::DoublyRobust`].
 #[derive(Debug, Clone)]
 pub struct AdaptiveDr<M: RewardModel> {
-    model: M,
+    dr: DoublyRobust<M>,
     mode: AdaptiveWeights,
 }
 
 impl<M: RewardModel> AdaptiveDr<M> {
     /// Creates an adaptively-weighted DR estimator around a fitted model.
     pub fn new(model: M, mode: AdaptiveWeights) -> Self {
-        Self { model, mode }
+        Self {
+            dr: DoublyRobust::new(model),
+            mode,
+        }
     }
 
     /// The underlying reward model.
     pub fn model(&self) -> &M {
-        &self.model
+        self.dr.model()
     }
 
     /// The stabilizer schedule.
@@ -226,80 +167,35 @@ impl<M: RewardModel> AdaptiveDr<M> {
     }
 }
 
-impl<M: RewardModel> Estimator for AdaptiveDr<M> {
-    fn name(&self) -> &str {
-        "AdaptiveDR"
+impl<M: RewardModel> Kernel for AdaptiveDr<M> {
+    const NAME: &'static str = "AdaptiveDR";
+
+    fn norm(&self) -> Norm {
+        Norm::Stabilized(self.mode)
     }
 
-    fn estimate(&self, trace: &Trace, new_policy: &dyn Policy) -> Result<Estimate, EstimatorError> {
-        check_space(trace, new_policy)?;
-        let weights = importance_weights(trace, new_policy)?;
-        let hs = stabilizers(&weights, self.mode);
-        let space = trace.space();
-        let mut abs_residual_sum = 0.0;
-        let gammas: Vec<f64> = trace
-            .records()
-            .iter()
-            .zip(&weights)
-            .map(|(rec, &w)| {
-                let probs = new_policy.probabilities(&rec.context);
-                let dm_term: f64 = space
-                    .iter()
-                    .map(|d| probs[d.index()] * self.model.predict(&rec.context, d))
-                    .sum();
-                let residual = rec.reward - self.model.predict(&rec.context, rec.decision);
-                abs_residual_sum += residual.abs();
-                dm_term + w * residual
-            })
-            .collect();
-        let (per_record, hsum) = stabilized_contributions(&gammas, &hs)?;
-        let diagnostics = WeightDiagnostics::from_weights(&weights);
-        emit_weight_health(
-            self.name(),
-            &diagnostics,
-            &[
-                ("hsum", hsum),
-                ("mean_abs_residual", abs_residual_sum / trace.len() as f64),
-            ],
-        );
-        Ok(Estimate::from_contributions(per_record, diagnostics))
+    fn row<S: Source>(&self, s: &S) -> Result<Option<Row>, EstimatorError> {
+        self.dr.row(s)
     }
-}
 
-impl<M: RewardModel> BatchEstimator for AdaptiveDr<M> {
-    fn estimate_batch(
-        &self,
-        trace: &Trace,
-        batch: &EvalBatch,
-    ) -> Result<Estimate, EstimatorError> {
-        batch.check_trace(trace);
-        let weights = batch.weights()?;
-        let hs = stabilizers(&weights, self.mode);
-        let (gammas, abs_residual_sum) =
-            dr_contributions_batch(self.name(), trace, batch, &self.model, weights);
-        let (per_record, hsum) = stabilized_contributions(&gammas, &hs)?;
-        let diagnostics = WeightDiagnostics::from_weights(weights);
-        emit_weight_health(
-            self.name(),
-            &diagnostics,
-            &[
-                ("hsum", hsum),
-                ("mean_abs_residual", abs_residual_sum / trace.len() as f64),
-            ],
-        );
-        Ok(Estimate::from_contributions(per_record, diagnostics))
+    fn extras(&self, fold: &Fold) -> Vec<(&'static str, f64)> {
+        vec![
+            ("hsum", fold.hsum()),
+            ("mean_abs_residual", fold.mean_abs_residual()),
+        ]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dr::DoublyRobust;
-    use crate::ips::{Ips, SelfNormalizedIps};
+    use crate::batch::{BatchEstimator, EvalBatch};
+    use crate::ips::SelfNormalizedIps;
+    use crate::Estimator;
     use ddn_models::ConstantModel;
     use ddn_policy::LookupPolicy;
     use ddn_stats::rng::{Rng, Xoshiro256};
-    use ddn_trace::{Context, ContextSchema, Decision, DecisionSpace, TraceRecord};
+    use ddn_trace::{Context, ContextSchema, Decision, DecisionSpace, Trace, TraceRecord};
 
     fn schema() -> ContextSchema {
         ContextSchema::builder().categorical("g", 2).build()

@@ -24,9 +24,8 @@
 //!    policies may override `probabilities`, so neither may be derived
 //!    from the other.
 //! 2. Importance weights are stored as the same expression the
-//!    unbatched path evaluates (`p_logged / p_old`), and derived sums
-//!    (`dm_terms`) accumulate in ascending decision order, exactly like
-//!    the unbatched `space.iter().map(..).sum()`.
+//!    unbatched path evaluates (`p_logged / p_old`), and the cached DM
+//!    terms come from the same ascending-order fold the live path uses.
 //! 3. Error order is preserved: a missing propensity is remembered as
 //!    the *first* offending record index and resurfaces as the same
 //!    [`TraceError::MissingPropensity`] the unbatched estimators raise,
@@ -44,9 +43,10 @@
 //! in the global registry.
 
 use crate::estimate::{check_space, EstimatorError};
+use crate::kernel::dm_term;
 use ddn_models::RewardModel;
 use ddn_policy::Policy;
-use ddn_trace::{StateTag, Trace, TraceError};
+use ddn_trace::{Trace, TraceError};
 
 /// Records per cache-friendly build chunk. Each chunk's contexts are
 /// walked once for policy scores and once for model scores while still
@@ -70,11 +70,13 @@ pub struct ModelScores {
 
 impl ModelScores {
     /// Model prediction for record `i`'s logged decision.
+    #[inline]
     pub fn q_logged(&self) -> &[f64] {
         &self.q_logged
     }
 
     /// Per-record DM terms `Σ_d μ_new(d|c_i) · r̂(c_i, d)`.
+    #[inline]
     pub fn dm_terms(&self) -> &[f64] {
         &self.dm_terms
     }
@@ -93,9 +95,6 @@ pub struct EvalBatch {
     n: usize,
     k: usize,
     rewards: Vec<f64>,
-    /// Logged decision indices.
-    decisions: Vec<usize>,
-    states: Vec<Option<StateTag>>,
     /// `p_logged[i] = policy.prob(c_i, d_i_logged)`.
     p_logged: Vec<f64>,
     /// `probs[i*k + j] = policy.probabilities(c_i)[j]`, row-major.
@@ -138,7 +137,7 @@ impl EvalBatch {
         policy: &dyn Policy,
         model: Option<&dyn RewardModel>,
     ) -> Result<Self, EstimatorError> {
-        check_space(trace, policy)?;
+        check_space(trace.space(), policy.space())?;
         let _span = ddn_telemetry::span("batch_build");
         let started = std::time::Instant::now();
 
@@ -148,8 +147,6 @@ impl EvalBatch {
         let space = trace.space();
 
         let mut rewards = Vec::with_capacity(n);
-        let mut decisions = Vec::with_capacity(n);
-        let mut states = Vec::with_capacity(n);
         let mut p_logged = Vec::with_capacity(n);
         let mut probs = Vec::with_capacity(n * k);
         let mut weight_vec = Vec::with_capacity(n);
@@ -168,8 +165,6 @@ impl EvalBatch {
                 .map(|(o, r)| (chunk_start + o, r))
             {
                 rewards.push(rec.reward);
-                decisions.push(rec.decision.index());
-                states.push(rec.state);
                 let pl = policy.prob(&rec.context, rec.decision);
                 p_logged.push(pl);
                 let row = policy.probabilities(&rec.context);
@@ -185,13 +180,11 @@ impl EvalBatch {
                     for d in space.iter() {
                         scores.q.push(model.predict(&rec.context, d));
                     }
-                    scores.q_logged.push(model.predict(&rec.context, rec.decision));
-                    let dm: f64 = row
-                        .iter()
-                        .zip(&scores.q[q_start..])
-                        .map(|(p, q)| p * q)
-                        .sum();
-                    scores.dm_terms.push(dm);
+                    scores
+                        .q_logged
+                        .push(model.predict(&rec.context, rec.decision));
+                    let q = &scores.q[q_start..];
+                    scores.dm_terms.push(dm_term(&row, |d| q[d.index()]));
                 }
                 probs.extend_from_slice(&row);
             }
@@ -204,8 +197,6 @@ impl EvalBatch {
             n,
             k,
             rewards,
-            decisions,
-            states,
             p_logged,
             probs,
             weights: match missing {
@@ -233,18 +224,9 @@ impl EvalBatch {
     }
 
     /// Logged rewards, in record order.
+    #[inline]
     pub fn rewards(&self) -> &[f64] {
         &self.rewards
-    }
-
-    /// Logged decision indices, in record order.
-    pub fn decisions(&self) -> &[usize] {
-        &self.decisions
-    }
-
-    /// Logged state tags, in record order.
-    pub fn states(&self) -> &[Option<StateTag>] {
-        &self.states
     }
 
     /// `policy.prob(c_i, d_i_logged)` for every record.
@@ -253,13 +235,15 @@ impl EvalBatch {
     }
 
     /// Record `i`'s `policy.probabilities(c_i)` row.
+    #[inline]
     pub fn probs_row(&self, i: usize) -> &[f64] {
         &self.probs[i * self.k..(i + 1) * self.k]
     }
 
     /// Importance weights `μ_new(d_i|c_i) / μ_old(d_i|c_i)`, or the same
     /// [`TraceError::MissingPropensity`] (first offending record) the
-    /// unbatched `importance_weights` raises.
+    /// unbatched estimators raise.
+    #[inline]
     pub fn weights(&self) -> Result<&[f64], EstimatorError> {
         match &self.weights {
             Ok(w) => Ok(w),
@@ -271,6 +255,7 @@ impl EvalBatch {
 
     /// Cached reward-model scores, when the batch was built with
     /// [`EvalBatch::with_model`].
+    #[inline]
     pub fn model_scores(&self) -> Option<&ModelScores> {
         self.model.as_ref()
     }
@@ -330,8 +315,8 @@ pub(crate) fn note_reuse(source: &str, hits: u64, misses: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ddn_policy::{LookupPolicy, UniformRandomPolicy};
     use ddn_models::ConstantModel;
+    use ddn_policy::{LookupPolicy, UniformRandomPolicy};
     use ddn_stats::rng::{Rng, Xoshiro256};
     use ddn_trace::{Context, ContextSchema, Decision, DecisionSpace, TraceRecord};
 
@@ -370,7 +355,6 @@ mod tests {
             assert_eq!(b.p_logged()[i], pol.prob(&rec.context, rec.decision));
             assert_eq!(b.probs_row(i), pol.probabilities(&rec.context).as_slice());
             assert_eq!(b.rewards()[i], rec.reward);
-            assert_eq!(b.decisions()[i], rec.decision.index());
         }
         let w = b.weights().unwrap();
         assert_eq!(w.len(), t.len());

@@ -14,9 +14,9 @@
 //! model error.
 
 use crate::batch::{note_reuse, BatchEstimator, EvalBatch};
-use crate::estimate::{
-    check_space, emit_weight_health, Estimate, Estimator, EstimatorError, WeightDiagnostics,
-};
+use crate::dr::DoublyRobust;
+use crate::estimate::{check_space, Estimate, Estimator, EstimatorError};
+use crate::kernel::{estimate_of, fold_batch, fold_records, Fold, Norm};
 use ddn_models::RewardModel;
 use ddn_policy::Policy;
 use ddn_trace::{Trace, TraceRecord};
@@ -53,6 +53,47 @@ where
     pub fn folds(&self) -> usize {
         self.folds
     }
+
+    /// Folds every record through DR with its out-of-fold model:
+    /// `fold_range` folds the records `lo..hi` through the given kernel.
+    fn cross_fit(
+        &self,
+        trace: &Trace,
+        mut fold_range: impl FnMut(
+            &DoublyRobust<M>,
+            &mut Fold,
+            &mut Vec<f64>,
+            usize,
+            usize,
+        ) -> Result<(), EstimatorError>,
+    ) -> Result<Estimate, EstimatorError> {
+        let n = trace.len();
+        if n < self.folds {
+            return Err(EstimatorError::NoUsableRecords);
+        }
+        let records = trace.records();
+        let mut fold = Fold::new();
+        let mut per_record = Vec::with_capacity(n);
+        for f in 0..self.folds {
+            let lo = f * n / self.folds;
+            let hi = (f + 1) * n / self.folds;
+            if lo == hi {
+                continue;
+            }
+            let train: Vec<TraceRecord> = records[..lo]
+                .iter()
+                .chain(&records[hi..])
+                .cloned()
+                .collect();
+            let train_trace =
+                Trace::from_records(trace.schema().clone(), trace.space().clone(), train)
+                    .map_err(EstimatorError::Trace)?;
+            let dr = DoublyRobust::new((self.fit)(&train_trace));
+            fold_range(&dr, &mut fold, &mut per_record, lo, hi)?;
+        }
+        let extras = [("folds", self.folds as f64)];
+        estimate_of(self.name(), Norm::Count, &fold, per_record, &extras)
+    }
 }
 
 impl<M, F> Estimator for CrossFitDr<M, F>
@@ -65,48 +106,10 @@ where
     }
 
     fn estimate(&self, trace: &Trace, new_policy: &dyn Policy) -> Result<Estimate, EstimatorError> {
-        check_space(trace, new_policy)?;
-        let n = trace.len();
-        if n < self.folds {
-            return Err(EstimatorError::NoUsableRecords);
-        }
-        let records = trace.records();
-        let space = trace.space();
-        let mut per_record = vec![0.0; n];
-        let mut weights = vec![0.0; n];
-
-        for f in 0..self.folds {
-            let lo = f * n / self.folds;
-            let hi = (f + 1) * n / self.folds;
-            if lo == hi {
-                continue;
-            }
-            let train: Vec<TraceRecord> = records[..lo]
-                .iter()
-                .chain(&records[hi..])
-                .cloned()
-                .collect();
-            let train_trace =
-                Trace::from_records(trace.schema().clone(), trace.space().clone(), train)
-                    .map_err(EstimatorError::Trace)?;
-            let model = (self.fit)(&train_trace);
-            for (k, rec) in records[lo..hi].iter().enumerate() {
-                let idx = lo + k;
-                let p_old = rec.require_propensity(idx)?;
-                let w = new_policy.prob(&rec.context, rec.decision) / p_old;
-                let probs = new_policy.probabilities(&rec.context);
-                let dm_term: f64 = space
-                    .iter()
-                    .map(|d| probs[d.index()] * model.predict(&rec.context, d))
-                    .sum();
-                let residual = rec.reward - model.predict(&rec.context, rec.decision);
-                per_record[idx] = dm_term + w * residual;
-                weights[idx] = w;
-            }
-        }
-        let diagnostics = WeightDiagnostics::from_weights(&weights);
-        emit_weight_health(self.name(), &diagnostics, &[("folds", self.folds as f64)]);
-        Ok(Estimate::from_contributions(per_record, diagnostics))
+        check_space(trace.space(), new_policy.space())?;
+        self.cross_fit(trace, |dr, fold, out, lo, hi| {
+            fold_records(dr, fold, out, new_policy, &trace.records()[lo..hi])
+        })
     }
 }
 
@@ -119,52 +122,17 @@ where
     /// probability rows, but deliberately **ignores** any cached model
     /// scores: the whole point of cross-fitting is that each held-out
     /// record is scored by a fold-local, out-of-fold model.
-    fn estimate_batch(
-        &self,
-        trace: &Trace,
-        batch: &EvalBatch,
-    ) -> Result<Estimate, EstimatorError> {
+    fn estimate_batch(&self, trace: &Trace, batch: &EvalBatch) -> Result<Estimate, EstimatorError> {
         batch.check_trace(trace);
-        let n = trace.len();
-        if n < self.folds {
-            return Err(EstimatorError::NoUsableRecords);
-        }
-        let weights = batch.weights()?;
-        note_reuse(self.name(), 2 * n as u64, n as u64);
-        let records = trace.records();
-        let space = trace.space();
-        let mut per_record = vec![0.0; n];
-
-        for f in 0..self.folds {
-            let lo = f * n / self.folds;
-            let hi = (f + 1) * n / self.folds;
-            if lo == hi {
-                continue;
-            }
-            let train: Vec<TraceRecord> = records[..lo]
-                .iter()
-                .chain(&records[hi..])
-                .cloned()
-                .collect();
-            let train_trace =
-                Trace::from_records(trace.schema().clone(), trace.space().clone(), train)
-                    .map_err(EstimatorError::Trace)?;
-            let model = (self.fit)(&train_trace);
-            for (k, rec) in records[lo..hi].iter().enumerate() {
-                let idx = lo + k;
-                let w = weights[idx];
-                let probs = batch.probs_row(idx);
-                let dm_term: f64 = space
-                    .iter()
-                    .map(|d| probs[d.index()] * model.predict(&rec.context, d))
-                    .sum();
-                let residual = rec.reward - model.predict(&rec.context, rec.decision);
-                per_record[idx] = dm_term + w * residual;
-            }
-        }
-        let diagnostics = WeightDiagnostics::from_weights(weights);
-        emit_weight_health(self.name(), &diagnostics, &[("folds", self.folds as f64)]);
-        Ok(Estimate::from_contributions(per_record, diagnostics))
+        let (mut hits, mut misses) = (0, 0);
+        let estimate = self.cross_fit(trace, |dr, fold, out, lo, hi| {
+            let (h, m) = fold_batch(dr, fold, out, trace, batch, None, lo..hi)?;
+            hits += h;
+            misses += m;
+            Ok(())
+        })?;
+        note_reuse(self.name(), hits, misses);
+        Ok(estimate)
     }
 }
 

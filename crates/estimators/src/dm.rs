@@ -1,12 +1,8 @@
 //! The Direct Method estimator (paper §3).
 
-use crate::batch::{note_reuse, BatchEstimator, EvalBatch};
-use crate::estimate::{
-    check_space, emit_weight_health, Estimate, Estimator, EstimatorError, WeightDiagnostics,
-};
+use crate::estimate::EstimatorError;
+use crate::kernel::{Kernel, Row, Source};
 use ddn_models::RewardModel;
-use ddn_policy::Policy;
-use ddn_trace::Trace;
 
 /// Direct Method (DM): evaluate the new policy entirely through a reward
 /// model r̂(c, d):
@@ -36,75 +32,28 @@ impl<M: RewardModel> DirectMethod<M> {
     }
 }
 
-impl<M: RewardModel> Estimator for DirectMethod<M> {
-    fn name(&self) -> &str {
-        "DM"
-    }
+impl<M: RewardModel> Kernel for DirectMethod<M> {
+    const NAME: &'static str = "DM";
 
-    fn estimate(&self, trace: &Trace, new_policy: &dyn Policy) -> Result<Estimate, EstimatorError> {
-        check_space(trace, new_policy)?;
-        let space = trace.space();
-        let per_record: Vec<f64> = trace
-            .records()
-            .iter()
-            .map(|rec| {
-                let probs = new_policy.probabilities(&rec.context);
-                space
-                    .iter()
-                    .map(|d| probs[d.index()] * self.model.predict(&rec.context, d))
-                    .sum()
-            })
-            .collect();
-        let diagnostics = WeightDiagnostics::uniform(trace.len());
-        emit_weight_health(self.name(), &diagnostics, &[]);
-        Ok(Estimate::from_contributions(per_record, diagnostics))
-    }
-}
-
-impl<M: RewardModel> BatchEstimator for DirectMethod<M> {
-    fn estimate_batch(
-        &self,
-        trace: &Trace,
-        batch: &EvalBatch,
-    ) -> Result<Estimate, EstimatorError> {
-        batch.check_trace(trace);
-        let n = trace.len();
-        let per_record: Vec<f64> = match batch.model_scores() {
-            Some(scores) => {
-                note_reuse(self.name(), 2 * n as u64, 0);
-                scores.dm_terms().to_vec()
-            }
-            None => {
-                // Probability rows come from the batch; predictions are
-                // recomputed live against this estimator's model.
-                note_reuse(self.name(), n as u64, n as u64);
-                let space = trace.space();
-                trace
-                    .records()
-                    .iter()
-                    .enumerate()
-                    .map(|(i, rec)| {
-                        let probs = batch.probs_row(i);
-                        space
-                            .iter()
-                            .map(|d| probs[d.index()] * self.model.predict(&rec.context, d))
-                            .sum()
-                    })
-                    .collect()
-            }
-        };
-        let diagnostics = WeightDiagnostics::uniform(trace.len());
-        emit_weight_health(self.name(), &diagnostics, &[]);
-        Ok(Estimate::from_contributions(per_record, diagnostics))
+    /// Every record weighs `1`: DM reads no propensities.
+    fn row<S: Source>(&self, s: &S) -> Result<Option<Row>, EstimatorError> {
+        Ok(Some(Row {
+            w: 1.0,
+            gamma: s.dm_term(&self.model),
+            dm: 0.0,
+            residual: 0.0,
+            clipped: false,
+        }))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Estimator;
     use ddn_models::{ConstantModel, FnModel};
     use ddn_policy::{LookupPolicy, UniformRandomPolicy};
-    use ddn_trace::{Context, ContextSchema, Decision, DecisionSpace, TraceRecord};
+    use ddn_trace::{Context, ContextSchema, Decision, DecisionSpace, Trace, TraceRecord};
 
     fn schema() -> ContextSchema {
         ContextSchema::builder().numeric("x").build()

@@ -1,13 +1,8 @@
 //! The Doubly Robust estimator (paper §3, Eq. 1/2) and the SWITCH variant.
 
-use crate::batch::{note_reuse, BatchEstimator, EvalBatch};
-use crate::estimate::{
-    check_space, emit_weight_health, Estimate, Estimator, EstimatorError, WeightDiagnostics,
-};
-use crate::ips::importance_weights;
+use crate::estimate::EstimatorError;
+use crate::kernel::{Fold, Kernel, Row, Source};
 use ddn_models::RewardModel;
-use ddn_policy::Policy;
-use ddn_trace::Trace;
 
 /// Doubly Robust (DR) estimator — the paper's Eq. 2 per-client form:
 ///
@@ -71,112 +66,37 @@ impl<M: RewardModel> DoublyRobust<M> {
     }
 }
 
-impl<M: RewardModel> Estimator for DoublyRobust<M> {
-    fn name(&self) -> &str {
-        "DR"
-    }
-
-    fn estimate(&self, trace: &Trace, new_policy: &dyn Policy) -> Result<Estimate, EstimatorError> {
-        check_space(trace, new_policy)?;
-        let weights = importance_weights(trace, new_policy)?;
-        let space = trace.space();
-        let mut abs_residual_sum = 0.0;
-        let per_record: Vec<f64> = trace
-            .records()
-            .iter()
-            .zip(&weights)
-            .map(|(rec, &w)| {
-                let probs = new_policy.probabilities(&rec.context);
-                let dm_term: f64 = space
-                    .iter()
-                    .map(|d| probs[d.index()] * self.model.predict(&rec.context, d))
-                    .sum();
-                let residual = rec.reward - self.model.predict(&rec.context, rec.decision);
-                abs_residual_sum += residual.abs();
-                dm_term + w * residual
-            })
-            .collect();
-        let diagnostics = WeightDiagnostics::from_weights(&weights);
-        emit_weight_health(
-            self.name(),
-            &diagnostics,
-            &[("mean_abs_residual", abs_residual_sum / trace.len() as f64)],
-        );
-        Ok(Estimate::from_contributions(per_record, diagnostics))
+/// The DR row (Eq. 2): `Γ = dm + w·(r − q̂)`, with `q̂` the model's
+/// prediction at the logged decision. Every estimator of the DR family
+/// contributes through this one expression.
+#[inline]
+pub(crate) fn dr_row(w: f64, dm: f64, reward: f64, q_logged: f64) -> Row {
+    let residual = reward - q_logged;
+    Row {
+        w,
+        gamma: dm + w * residual,
+        dm,
+        residual,
+        clipped: false,
     }
 }
 
-/// Per-record DR contributions `dm_term_i + w_i · (r_i − q̂_i_logged)`
-/// from a batch, either entirely from cached scores or with the model
-/// re-queried live; also accumulates `Σ|residual|` in record order.
-/// Shared by DR, SWITCH-DR (via pre-switched weights), and the
-/// state-aware path's dense case.
-pub(crate) fn dr_contributions_batch<M: RewardModel>(
-    source: &str,
-    trace: &Trace,
-    batch: &EvalBatch,
-    model: &M,
-    weights: &[f64],
-) -> (Vec<f64>, f64) {
-    let n = trace.len();
-    let mut abs_residual_sum = 0.0;
-    let per_record: Vec<f64> = match batch.model_scores() {
-        Some(scores) => {
-            note_reuse(source, 3 * n as u64, 0);
-            scores
-                .dm_terms()
-                .iter()
-                .zip(scores.q_logged())
-                .zip(batch.rewards())
-                .zip(weights)
-                .map(|(((dm_term, q_logged), r), &w)| {
-                    let residual = r - q_logged;
-                    abs_residual_sum += residual.abs();
-                    dm_term + w * residual
-                })
-                .collect()
-        }
-        None => {
-            note_reuse(source, 2 * n as u64, n as u64);
-            let space = trace.space();
-            trace
-                .records()
-                .iter()
-                .enumerate()
-                .zip(weights)
-                .map(|((i, rec), &w)| {
-                    let probs = batch.probs_row(i);
-                    let dm_term: f64 = space
-                        .iter()
-                        .map(|d| probs[d.index()] * model.predict(&rec.context, d))
-                        .sum();
-                    let residual = rec.reward - model.predict(&rec.context, rec.decision);
-                    abs_residual_sum += residual.abs();
-                    dm_term + w * residual
-                })
-                .collect()
-        }
-    };
-    (per_record, abs_residual_sum)
+/// [`dr_row`] for source `s` under `model`, at weight `w`.
+#[inline]
+pub(crate) fn dr_at<S: Source, M: RewardModel>(s: &S, model: &M, w: f64) -> Row {
+    dr_row(w, s.dm_term(model), s.reward(), s.q_logged(model))
 }
 
-impl<M: RewardModel> BatchEstimator for DoublyRobust<M> {
-    fn estimate_batch(
-        &self,
-        trace: &Trace,
-        batch: &EvalBatch,
-    ) -> Result<Estimate, EstimatorError> {
-        batch.check_trace(trace);
-        let weights = batch.weights()?;
-        let (per_record, abs_residual_sum) =
-            dr_contributions_batch(self.name(), trace, batch, &self.model, weights);
-        let diagnostics = WeightDiagnostics::from_weights(weights);
-        emit_weight_health(
-            self.name(),
-            &diagnostics,
-            &[("mean_abs_residual", abs_residual_sum / trace.len() as f64)],
-        );
-        Ok(Estimate::from_contributions(per_record, diagnostics))
+impl<M: RewardModel> Kernel for DoublyRobust<M> {
+    const NAME: &'static str = "DR";
+
+    #[inline]
+    fn row<S: Source>(&self, s: &S) -> Result<Option<Row>, EstimatorError> {
+        Ok(Some(dr_at(s, &self.model, s.weight()?)))
+    }
+
+    fn extras(&self, fold: &Fold) -> Vec<(&'static str, f64)> {
+        vec![("mean_abs_residual", fold.mean_abs_residual())]
     }
 }
 
@@ -212,74 +132,23 @@ impl<M: RewardModel> SwitchDr<M> {
     }
 }
 
-impl<M: RewardModel> Estimator for SwitchDr<M> {
-    fn name(&self) -> &str {
-        "SwitchDR"
+impl<M: RewardModel> Kernel for SwitchDr<M> {
+    const NAME: &'static str = "SwitchDR";
+
+    fn row<S: Source>(&self, s: &S) -> Result<Option<Row>, EstimatorError> {
+        let raw = s.weight()?;
+        let w = if raw <= self.tau { raw } else { 0.0 };
+        Ok(Some(Row {
+            clipped: raw > self.tau,
+            ..dr_at(s, &self.model, w)
+        }))
     }
 
-    fn estimate(&self, trace: &Trace, new_policy: &dyn Policy) -> Result<Estimate, EstimatorError> {
-        check_space(trace, new_policy)?;
-        let weights = importance_weights(trace, new_policy)?;
-        let space = trace.space();
-        let switched = weights.iter().filter(|&&w| w > self.tau).count();
-        let effective: Vec<f64> = weights
-            .iter()
-            .map(|&w| if w <= self.tau { w } else { 0.0 })
-            .collect();
-        let mut abs_residual_sum = 0.0;
-        let per_record: Vec<f64> = trace
-            .records()
-            .iter()
-            .zip(&effective)
-            .map(|(rec, &w)| {
-                let probs = new_policy.probabilities(&rec.context);
-                let dm_term: f64 = space
-                    .iter()
-                    .map(|d| probs[d.index()] * self.model.predict(&rec.context, d))
-                    .sum();
-                let residual = rec.reward - self.model.predict(&rec.context, rec.decision);
-                abs_residual_sum += residual.abs();
-                dm_term + w * residual
-            })
-            .collect();
-        let diagnostics = WeightDiagnostics::from_weights(&effective);
-        emit_weight_health(
-            self.name(),
-            &diagnostics,
-            &[
-                ("clip_rate", switched as f64 / weights.len().max(1) as f64),
-                ("mean_abs_residual", abs_residual_sum / trace.len() as f64),
-            ],
-        );
-        Ok(Estimate::from_contributions(per_record, diagnostics))
-    }
-}
-
-impl<M: RewardModel> BatchEstimator for SwitchDr<M> {
-    fn estimate_batch(
-        &self,
-        trace: &Trace,
-        batch: &EvalBatch,
-    ) -> Result<Estimate, EstimatorError> {
-        batch.check_trace(trace);
-        let weights = batch.weights()?;
-        let switched = weights.iter().filter(|&&w| w > self.tau).count();
-        let effective: Vec<f64> = weights
-            .iter()
-            .map(|&w| if w <= self.tau { w } else { 0.0 })
-            .collect();
-        let (per_record, abs_residual_sum) =
-            dr_contributions_batch(self.name(), trace, batch, &self.model, &effective);
-        let diagnostics = WeightDiagnostics::from_weights(&effective);
-        emit_weight_health(
-            self.name(),
-            &diagnostics,
-            &[
-                ("clip_rate", switched as f64 / weights.len().max(1) as f64),
-                ("mean_abs_residual", abs_residual_sum / trace.len() as f64),
-            ],
-        );
-        Ok(Estimate::from_contributions(per_record, diagnostics))
+    fn extras(&self, fold: &Fold) -> Vec<(&'static str, f64)> {
+        vec![
+            ("clip_rate", fold.clip_rate()),
+            ("mean_abs_residual", fold.mean_abs_residual()),
+        ]
     }
 }
 
@@ -288,10 +157,11 @@ mod tests {
     use super::*;
     use crate::dm::DirectMethod;
     use crate::ips::Ips;
+    use crate::Estimator;
     use ddn_models::{ConstantModel, FnModel};
     use ddn_policy::LookupPolicy;
     use ddn_stats::rng::{Rng, Xoshiro256};
-    use ddn_trace::{Context, ContextSchema, Decision, DecisionSpace, TraceRecord};
+    use ddn_trace::{Context, ContextSchema, Decision, DecisionSpace, Trace, TraceRecord};
 
     fn schema() -> ContextSchema {
         ContextSchema::builder().categorical("g", 2).build()

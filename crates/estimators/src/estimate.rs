@@ -1,8 +1,9 @@
 //! The [`Estimator`] trait, its output type [`Estimate`], and shared
 //! importance-weight diagnostics.
 
+use crate::kernel::WeightAcc;
 use ddn_policy::Policy;
-use ddn_trace::{Trace, TraceError};
+use ddn_trace::{DecisionSpace, Trace, TraceError};
 use std::fmt;
 
 /// Errors produced by estimators.
@@ -89,32 +90,11 @@ impl WeightDiagnostics {
     /// Panics if `weights` is empty.
     pub fn from_weights(weights: &[f64]) -> Self {
         assert!(!weights.is_empty(), "weight diagnostics of empty weights");
-        let n = weights.len();
-        let sum: f64 = weights.iter().sum();
-        let sum_sq: f64 = weights.iter().map(|w| w * w).sum();
-        let zeros = weights.iter().filter(|&&w| w == 0.0).count();
-        Self {
-            n,
-            mean_weight: sum / n as f64,
-            max_weight: weights.iter().cloned().fold(f64::NEG_INFINITY, f64::max),
-            effective_sample_size: if sum_sq > 0.0 {
-                sum * sum / sum_sq
-            } else {
-                0.0
-            },
-            zero_weight_fraction: zeros as f64 / n as f64,
+        let mut acc = WeightAcc::new();
+        for &w in weights {
+            acc.push(w);
         }
-    }
-
-    /// Diagnostics for an estimator that weights every record equally.
-    pub fn uniform(n: usize) -> Self {
-        Self {
-            n,
-            mean_weight: 1.0,
-            max_weight: 1.0,
-            effective_sample_size: n as f64,
-            zero_weight_fraction: 0.0,
-        }
+        acc.diagnostics()
     }
 }
 
@@ -124,27 +104,14 @@ impl WeightDiagnostics {
 pub struct Estimate {
     /// The estimated expected reward `V̂(μ_new)`.
     pub value: f64,
-    /// Per-record contributions; their mean equals `value` for averaging
-    /// estimators. Feed these to `ddn_stats::bootstrap_ci` for intervals.
+    /// Per-record contributions (per trajectory for SeqDR). Their mean is
+    /// `value` for averaging estimators; for the ratio estimators (SNIPS,
+    /// adaptive IPS/DR) each is the term rescaled by `n / denominator`, so
+    /// the mean equals the ratio up to rounding. Feed these to
+    /// `ddn_stats::bootstrap_ci` for intervals.
     pub per_record: Vec<f64>,
     /// Importance-weight diagnostics.
     pub diagnostics: WeightDiagnostics,
-}
-
-impl Estimate {
-    /// Builds an estimate whose value is the mean of `per_record`.
-    pub fn from_contributions(per_record: Vec<f64>, diagnostics: WeightDiagnostics) -> Self {
-        assert!(
-            !per_record.is_empty(),
-            "estimate needs at least one contribution"
-        );
-        let value = per_record.iter().sum::<f64>() / per_record.len() as f64;
-        Self {
-            value,
-            per_record,
-            diagnostics,
-        }
-    }
 }
 
 /// A policy evaluator: estimates the value of a (stationary) new policy
@@ -181,13 +148,17 @@ pub(crate) fn emit_weight_health(
     ddn_telemetry::record_health(source, &metrics);
 }
 
-/// Validates that the policy and trace agree on the decision space size.
+/// Validates that a policy's decision space (`policy`) matches the
+/// trace's (`space`) in size.
 /// All estimators call this first.
-pub(crate) fn check_space(trace: &Trace, policy: &dyn Policy) -> Result<(), EstimatorError> {
-    if trace.space().len() != policy.space().len() {
+pub(crate) fn check_space(
+    space: &DecisionSpace,
+    policy: &DecisionSpace,
+) -> Result<(), EstimatorError> {
+    if space.len() != policy.len() {
         return Err(EstimatorError::SpaceMismatch {
-            trace: trace.space().len(),
-            policy: policy.space().len(),
+            trace: space.len(),
+            policy: policy.len(),
         });
     }
     Ok(())
@@ -214,12 +185,6 @@ mod tests {
         assert!((d.effective_sample_size - 1.0).abs() < 1e-12);
         assert_eq!(d.max_weight, 100.0);
         assert_eq!(d.zero_weight_fraction, 0.75);
-    }
-
-    #[test]
-    fn estimate_from_contributions_averages() {
-        let e = Estimate::from_contributions(vec![1.0, 2.0, 3.0], WeightDiagnostics::uniform(3));
-        assert!((e.value - 2.0).abs() < 1e-12);
     }
 
     #[test]

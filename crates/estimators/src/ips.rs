@@ -1,27 +1,17 @@
 //! Inverse Propensity Scoring estimators (paper §3).
 
-use crate::batch::{note_reuse, BatchEstimator, EvalBatch};
-use crate::estimate::{
-    check_space, emit_weight_health, Estimate, Estimator, EstimatorError, WeightDiagnostics,
-};
-use ddn_policy::Policy;
-use ddn_trace::Trace;
+use crate::estimate::EstimatorError;
+use crate::kernel::{Fold, Kernel, Norm, Row, Source};
 
-/// Computes the importance weight vector `w_k = μ_new(d_k|c_k) / μ_old(d_k|c_k)`.
-pub(crate) fn importance_weights(
-    trace: &Trace,
-    new_policy: &dyn Policy,
-) -> Result<Vec<f64>, EstimatorError> {
-    trace
-        .records()
-        .iter()
-        .enumerate()
-        .map(|(k, rec)| {
-            let p_old = rec.require_propensity(k)?;
-            let p_new = new_policy.prob(&rec.context, rec.decision);
-            Ok(p_new / p_old)
-        })
-        .collect()
+/// The IPS row `Γ = w·r`.
+fn ips_row(w: f64, reward: f64) -> Row {
+    Row {
+        w,
+        gamma: w * reward,
+        dm: 0.0,
+        residual: 0.0,
+        clipped: false,
+    }
 }
 
 /// Plain IPS:
@@ -45,42 +35,11 @@ impl Ips {
     }
 }
 
-impl Estimator for Ips {
-    fn name(&self) -> &str {
-        "IPS"
-    }
+impl Kernel for Ips {
+    const NAME: &'static str = "IPS";
 
-    fn estimate(&self, trace: &Trace, new_policy: &dyn Policy) -> Result<Estimate, EstimatorError> {
-        check_space(trace, new_policy)?;
-        let weights = importance_weights(trace, new_policy)?;
-        let per_record: Vec<f64> = weights
-            .iter()
-            .zip(trace.records())
-            .map(|(w, rec)| w * rec.reward)
-            .collect();
-        let diagnostics = WeightDiagnostics::from_weights(&weights);
-        emit_weight_health(self.name(), &diagnostics, &[]);
-        Ok(Estimate::from_contributions(per_record, diagnostics))
-    }
-}
-
-impl BatchEstimator for Ips {
-    fn estimate_batch(
-        &self,
-        trace: &Trace,
-        batch: &EvalBatch,
-    ) -> Result<Estimate, EstimatorError> {
-        batch.check_trace(trace);
-        let weights = batch.weights()?;
-        note_reuse(self.name(), trace.len() as u64, 0);
-        let per_record: Vec<f64> = weights
-            .iter()
-            .zip(batch.rewards())
-            .map(|(w, r)| w * r)
-            .collect();
-        let diagnostics = WeightDiagnostics::from_weights(weights);
-        emit_weight_health(self.name(), &diagnostics, &[]);
-        Ok(Estimate::from_contributions(per_record, diagnostics))
+    fn row<S: Source>(&self, s: &S) -> Result<Option<Row>, EstimatorError> {
+        Ok(Some(ips_row(s.weight()?, s.reward())))
     }
 }
 
@@ -103,53 +62,15 @@ impl SelfNormalizedIps {
     }
 }
 
-impl Estimator for SelfNormalizedIps {
-    fn name(&self) -> &str {
-        "SNIPS"
+impl Kernel for SelfNormalizedIps {
+    const NAME: &'static str = "SNIPS";
+
+    fn norm(&self) -> Norm {
+        Norm::Weight
     }
 
-    fn estimate(&self, trace: &Trace, new_policy: &dyn Policy) -> Result<Estimate, EstimatorError> {
-        check_space(trace, new_policy)?;
-        let weights = importance_weights(trace, new_policy)?;
-        let wsum: f64 = weights.iter().sum();
-        if wsum <= 0.0 {
-            return Err(EstimatorError::NoUsableRecords);
-        }
-        let n = weights.len() as f64;
-        // Scale so that per-record contributions average to the SNIPS value.
-        let per_record: Vec<f64> = weights
-            .iter()
-            .zip(trace.records())
-            .map(|(w, rec)| n * w * rec.reward / wsum)
-            .collect();
-        let diagnostics = WeightDiagnostics::from_weights(&weights);
-        emit_weight_health(self.name(), &diagnostics, &[]);
-        Ok(Estimate::from_contributions(per_record, diagnostics))
-    }
-}
-
-impl BatchEstimator for SelfNormalizedIps {
-    fn estimate_batch(
-        &self,
-        trace: &Trace,
-        batch: &EvalBatch,
-    ) -> Result<Estimate, EstimatorError> {
-        batch.check_trace(trace);
-        let weights = batch.weights()?;
-        note_reuse(self.name(), trace.len() as u64, 0);
-        let wsum: f64 = weights.iter().sum();
-        if wsum <= 0.0 {
-            return Err(EstimatorError::NoUsableRecords);
-        }
-        let n = weights.len() as f64;
-        let per_record: Vec<f64> = weights
-            .iter()
-            .zip(batch.rewards())
-            .map(|(w, r)| n * w * r / wsum)
-            .collect();
-        let diagnostics = WeightDiagnostics::from_weights(weights);
-        emit_weight_health(self.name(), &diagnostics, &[]);
-        Ok(Estimate::from_contributions(per_record, diagnostics))
+    fn row<S: Source>(&self, s: &S) -> Result<Option<Row>, EstimatorError> {
+        Ips.row(s)
     }
 }
 
@@ -181,63 +102,29 @@ impl ClippedIps {
     }
 }
 
-impl Estimator for ClippedIps {
-    fn name(&self) -> &str {
-        "ClippedIPS"
+impl Kernel for ClippedIps {
+    const NAME: &'static str = "ClippedIPS";
+
+    fn row<S: Source>(&self, s: &S) -> Result<Option<Row>, EstimatorError> {
+        let raw = s.weight()?;
+        Ok(Some(Row {
+            clipped: raw > self.max_weight,
+            ..ips_row(raw.min(self.max_weight), s.reward())
+        }))
     }
 
-    fn estimate(&self, trace: &Trace, new_policy: &dyn Policy) -> Result<Estimate, EstimatorError> {
-        check_space(trace, new_policy)?;
-        let raw = importance_weights(trace, new_policy)?;
-        let clipped = raw.iter().filter(|&&w| w > self.max_weight).count();
-        let weights: Vec<f64> = raw.into_iter().map(|w| w.min(self.max_weight)).collect();
-        let per_record: Vec<f64> = weights
-            .iter()
-            .zip(trace.records())
-            .map(|(w, rec)| w * rec.reward)
-            .collect();
-        let diagnostics = WeightDiagnostics::from_weights(&weights);
-        emit_weight_health(
-            self.name(),
-            &diagnostics,
-            &[("clip_rate", clipped as f64 / weights.len().max(1) as f64)],
-        );
-        Ok(Estimate::from_contributions(per_record, diagnostics))
-    }
-}
-
-impl BatchEstimator for ClippedIps {
-    fn estimate_batch(
-        &self,
-        trace: &Trace,
-        batch: &EvalBatch,
-    ) -> Result<Estimate, EstimatorError> {
-        batch.check_trace(trace);
-        let raw = batch.weights()?;
-        note_reuse(self.name(), trace.len() as u64, 0);
-        let clipped = raw.iter().filter(|&&w| w > self.max_weight).count();
-        let weights: Vec<f64> = raw.iter().map(|w| w.min(self.max_weight)).collect();
-        let per_record: Vec<f64> = weights
-            .iter()
-            .zip(batch.rewards())
-            .map(|(w, r)| w * r)
-            .collect();
-        let diagnostics = WeightDiagnostics::from_weights(&weights);
-        emit_weight_health(
-            self.name(),
-            &diagnostics,
-            &[("clip_rate", clipped as f64 / weights.len().max(1) as f64)],
-        );
-        Ok(Estimate::from_contributions(per_record, diagnostics))
+    fn extras(&self, fold: &Fold) -> Vec<(&'static str, f64)> {
+        vec![("clip_rate", fold.clip_rate())]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Estimator;
     use ddn_policy::{LookupPolicy, UniformRandomPolicy};
     use ddn_stats::rng::{Rng, Xoshiro256};
-    use ddn_trace::{Context, ContextSchema, Decision, DecisionSpace, TraceRecord};
+    use ddn_trace::{Context, ContextSchema, Decision, DecisionSpace, Trace, TraceRecord};
 
     fn schema() -> ContextSchema {
         ContextSchema::builder().categorical("g", 2).build()

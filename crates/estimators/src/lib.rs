@@ -55,23 +55,30 @@
 //! estimator across seeded simulations, compute the relative error
 //! `|V − V̂| / |V|` per run, and aggregate mean/min/max (Figure 7's bars).
 //!
-//! ## Shared-score batching
+//! ## One kernel, three engines
 //!
-//! [`EvalBatch`] precomputes, once per (seed, trace), the per-record
-//! scores the whole menu shares — logged propensities, target-policy
-//! probability rows, reward-model predictions — in contiguous columnar
-//! arrays; every estimator exposes a batched path ([`BatchEstimator`],
-//! plus inherent `estimate_batch` methods on the replay and state-aware
-//! evaluators) that is bit-identical to the unbatched one.
+//! Each stationary estimator writes its per-record formula once, as a
+//! kernel. Two drivers run it: one computes a record's scores live (the
+//! scalar [`Estimator::estimate`] and every online `push`), the other
+//! reads them from an [`EvalBatch`] — the per-record scores the whole
+//! menu shares (logged propensities, target-policy probability rows,
+//! reward-model predictions), precomputed once per (seed, trace) in
+//! contiguous columns — behind [`BatchEstimator::estimate_batch`]. Both
+//! fold into the same O(1) accumulator, so the engines agree bit for
+//! bit.
 //!
 //! ## Online (streaming) estimation
 //!
 //! [`online`] provides `push(record)`/`estimate()` counterparts of the
 //! stationary menu ([`OnlineDm`], [`OnlineIps`], [`OnlineSnips`],
-//! [`OnlineClippedIps`], [`OnlineDr`]) that are bit-identical to the batch
-//! engine when a trace is replayed in order, plus a [`SlidingWindow`]
-//! variant for non-stationary streams. The `ddn-serve` crate builds its
-//! ingest service on this layer.
+//! [`OnlineClippedIps`], [`OnlineDr`], [`OnlineAdaptiveIps`],
+//! [`OnlineAdaptiveDr`], [`OnlineMarginalizedDr`], [`OnlineSeqDr`]) that
+//! are bit-identical to the batch engine when a trace is replayed in
+//! order. Each keeps O(1) state — SeqDR adds the steps of its unfinished
+//! trajectory — so `estimate` and `state_save` cost the same after a
+//! million records as after ten. A [`SlidingWindow`] variant serves
+//! non-stationary streams. The `ddn-serve` crate builds its ingest
+//! service on this layer.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -85,6 +92,7 @@ pub mod dr;
 pub mod estimate;
 pub mod experiment;
 pub mod ips;
+mod kernel;
 pub mod marginalized;
 pub mod matching;
 pub mod online;
@@ -107,9 +115,9 @@ pub use ips::{ClippedIps, Ips, SelfNormalizedIps};
 pub use marginalized::{ActionEmbedding, MarginalizedDr};
 pub use matching::MatchingEstimator;
 pub use online::{
-    OnlineAdaptiveDr, OnlineAdaptiveIps, OnlineClippedIps, OnlineDm, OnlineDr, OnlineEstimate,
-    OnlineEstimator, OnlineIps, OnlineMarginalizedDr, OnlineSeqDr, OnlineSnips, SlidingWindow,
-    StreamingMoments,
+    Online, OnlineAdaptiveDr, OnlineAdaptiveIps, OnlineClippedIps, OnlineDm, OnlineDr,
+    OnlineEstimate, OnlineEstimator, OnlineIps, OnlineMarginalizedDr, OnlineSeqDr, OnlineSnips,
+    SlidingWindow,
 };
 pub use optimize::{dm_greedy_policy, dr_select, SearchResult};
 pub use overlap::OverlapReport;

@@ -30,14 +30,12 @@
 //! equal the logging policy's probabilities; the reduction property test
 //! pins this.
 
-use crate::batch::{BatchEstimator, EvalBatch};
-use crate::dr::dr_contributions_batch;
-use crate::estimate::{
-    check_space, emit_weight_health, Estimate, Estimator, EstimatorError, WeightDiagnostics,
-};
+use crate::dr::dr_at;
+use crate::estimate::{check_space, EstimatorError};
+use crate::kernel::{Fold, Kernel, Row, Source};
 use ddn_models::RewardModel;
 use ddn_policy::Policy;
-use ddn_trace::Trace;
+use ddn_trace::DecisionSpace;
 
 /// A surjective map from arms onto coarse embedding groups — "which CDN",
 /// "which bitrate tier" — over which importance weights are marginalized.
@@ -140,111 +138,48 @@ impl<M: RewardModel> MarginalizedDr<M> {
     pub fn embedding(&self) -> &ActionEmbedding {
         &self.embedding
     }
+}
 
-    /// Marginal importance weights for every record, in record order.
-    fn marginal_weights(
-        &self,
-        trace: &Trace,
-        new_probs: impl Fn(usize) -> Vec<f64>,
-    ) -> Vec<f64> {
-        trace
-            .records()
-            .iter()
-            .enumerate()
-            .map(|(i, rec)| {
-                let a = rec.decision.index();
-                let num = self.embedding.marginal(&new_probs(i), a);
-                let den = self
-                    .embedding
-                    .marginal(&self.logging.probabilities(&rec.context), a);
-                num / den
-            })
-            .collect()
-    }
+impl<M: RewardModel> Kernel for MarginalizedDr<M> {
+    const NAME: &'static str = "MarginalizedDR";
 
-    fn check_embedding(&self, trace: &Trace) {
+    fn check(&self, space: &DecisionSpace) -> Result<(), EstimatorError> {
+        check_space(space, self.logging.space())?;
         assert_eq!(
             self.embedding.len(),
-            trace.space().len(),
+            space.len(),
             "embedding covers {} arms but the trace has {}",
             self.embedding.len(),
-            trace.space().len()
+            space.len()
         );
-    }
-}
-
-impl<M: RewardModel> Estimator for MarginalizedDr<M> {
-    fn name(&self) -> &str {
-        "MarginalizedDR"
+        Ok(())
     }
 
-    fn estimate(&self, trace: &Trace, new_policy: &dyn Policy) -> Result<Estimate, EstimatorError> {
-        check_space(trace, new_policy)?;
-        check_space(trace, self.logging.as_ref())?;
-        self.check_embedding(trace);
-        let weights = self.marginal_weights(trace, |i| {
-            new_policy.probabilities(&trace.records()[i].context)
-        });
-        let space = trace.space();
-        let mut abs_residual_sum = 0.0;
-        let per_record: Vec<f64> = trace
-            .records()
-            .iter()
-            .zip(&weights)
-            .map(|(rec, &w)| {
-                let probs = new_policy.probabilities(&rec.context);
-                let dm_term: f64 = space
-                    .iter()
-                    .map(|d| probs[d.index()] * self.model.predict(&rec.context, d))
-                    .sum();
-                let residual = rec.reward - self.model.predict(&rec.context, rec.decision);
-                abs_residual_sum += residual.abs();
-                dm_term + w * residual
-            })
-            .collect();
-        let diagnostics = WeightDiagnostics::from_weights(&weights);
-        emit_weight_health(
-            self.name(),
-            &diagnostics,
-            &[
-                ("embedding_groups", self.embedding.num_groups() as f64),
-                ("mean_abs_residual", abs_residual_sum / trace.len() as f64),
-            ],
-        );
-        Ok(Estimate::from_contributions(per_record, diagnostics))
+    fn row<S: Source>(&self, s: &S) -> Result<Option<Row>, EstimatorError> {
+        let rec = s.record();
+        let a = rec.decision.index();
+        let num = self.embedding.marginal(s.probs(), a);
+        let den = self
+            .embedding
+            .marginal(&self.logging.probabilities(&rec.context), a);
+        Ok(Some(dr_at(s, &self.model, num / den)))
     }
-}
 
-impl<M: RewardModel> BatchEstimator for MarginalizedDr<M> {
-    fn estimate_batch(
-        &self,
-        trace: &Trace,
-        batch: &EvalBatch,
-    ) -> Result<Estimate, EstimatorError> {
-        batch.check_trace(trace);
-        check_space(trace, self.logging.as_ref())?;
-        self.check_embedding(trace);
-        let weights = self.marginal_weights(trace, |i| batch.probs_row(i).to_vec());
-        let (per_record, abs_residual_sum) =
-            dr_contributions_batch(self.name(), trace, batch, &self.model, &weights);
-        let diagnostics = WeightDiagnostics::from_weights(&weights);
-        emit_weight_health(
-            self.name(),
-            &diagnostics,
-            &[
-                ("embedding_groups", self.embedding.num_groups() as f64),
-                ("mean_abs_residual", abs_residual_sum / trace.len() as f64),
-            ],
-        );
-        Ok(Estimate::from_contributions(per_record, diagnostics))
+    fn extras(&self, fold: &Fold) -> Vec<(&'static str, f64)> {
+        vec![
+            ("embedding_groups", self.embedding.num_groups() as f64),
+            ("mean_abs_residual", fold.mean_abs_residual()),
+        ]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::{BatchEstimator, EvalBatch};
     use crate::dr::DoublyRobust;
     use crate::ips::Ips;
+    use crate::Estimator;
     use ddn_models::ConstantModel;
     use ddn_policy::{EpsilonSmoothedPolicy, LookupPolicy, UniformRandomPolicy};
     use ddn_stats::rng::{Rng, Xoshiro256};
@@ -297,11 +232,7 @@ mod tests {
         let (t, logger) = logged_trace(300, 31);
         let newp = LookupPolicy::constant(composite_space(), 7);
         let model = || ConstantModel::new(2.0);
-        let mdr = MarginalizedDr::new(
-            model(),
-            ActionEmbedding::identity(12),
-            Box::new(logger),
-        );
+        let mdr = MarginalizedDr::new(model(), ActionEmbedding::identity(12), Box::new(logger));
         let a = mdr.estimate(&t, &newp).unwrap();
         let b = DoublyRobust::new(model()).estimate(&t, &newp).unwrap();
         assert_eq!(a.value.to_bits(), b.value.to_bits());

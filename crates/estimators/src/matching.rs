@@ -43,7 +43,7 @@ impl Estimator for MatchingEstimator {
     }
 
     fn estimate(&self, trace: &Trace, new_policy: &dyn Policy) -> Result<Estimate, EstimatorError> {
-        check_space(trace, new_policy)?;
+        check_space(trace.space(), new_policy.space())?;
         let mut matched = Vec::new();
         let mut weights = Vec::new();
         for rec in trace.records() {

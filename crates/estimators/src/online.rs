@@ -1,237 +1,45 @@
 //! Online (streaming) counterparts of the stationary estimator menu.
 //!
-//! The batch estimators of §3 are all per-record sums, so they admit an
-//! incremental form: [`OnlineDm`], [`OnlineIps`], [`OnlineSnips`],
-//! [`OnlineClippedIps`] and [`OnlineDr`] accept records one at a time via
-//! `push` and produce an estimate at any point via `estimate`. The design
-//! contract — property-tested in `tests/online_parity.rs` — is
-//! **bit-identity with the batch engine**: replaying a full trace in order
-//! through an online estimator yields exactly the bits that
-//! [`crate::Estimator::estimate`] / [`crate::BatchEstimator::estimate_batch`]
-//! produce, including the [`WeightDiagnostics`] and the error surface
-//! (first missing propensity, SNIPS with zero weight mass).
+//! The estimators of §3 are all per-record sums, so each has an
+//! incremental form: [`Online<K>`] accepts records one at a time via
+//! `push` and produces an estimate at any point via `estimate`. It runs
+//! the estimator's own per-row kernel through the same row-from-record
+//! driver and the same fold as the scalar [`crate::Estimator::estimate`],
+//! so replaying a full trace in order yields exactly the bits of
+//! [`crate::Estimator::estimate`] / [`crate::BatchEstimator::estimate_batch`],
+//! including the [`WeightDiagnostics`] and the error surface (first
+//! missing propensity, SNIPS with zero weight mass) — property-tested in
+//! `tests/online_parity.rs`.
 //!
-//! How bit-identity is achieved:
+//! Every value is a ratio of running left folds — `Σ Γ / n`, SNIPS's
+//! `Σ w·r / Σ w`, the adaptive family's `Σ h·Γ / Σ h` — so `estimate` and
+//! the saved state are O(1) in the records ingested. The one exception
+//! is [`OnlineSeqDr`], which holds the steps of its unfinished trajectory
+//! (fewer than `horizon`).
 //!
-//! - `Estimate::from_contributions` divides a *left-to-right* fold of the
-//!   per-record contributions by `n`; a running `sum += contribution` in
-//!   push order reproduces that fold exactly. DM, IPS, clipped IPS and DR
-//!   contributions are final the moment the record arrives, so those four
-//!   estimators keep O(1) state.
-//! - [`WeightDiagnostics::from_weights`] is likewise a set of left folds
-//!   (`Σw`, `Σw²`, zero count, running max), mirrored by [`WeightAcc`].
-//! - SNIPS is the exception: its per-record term `n·w_k·r_k / Σw` embeds
-//!   end-of-stream quantities inside non-associative float operations, so
-//!   [`OnlineSnips`] retains the `(w_k, r_k)` pairs (O(n) state) and
-//!   replays the exact batch loop at `estimate` time.
-//!
-//! Beyond the bit-identical estimate, every online estimator maintains
-//! Welford-style streaming moments of its contributions
-//! ([`StreamingMoments`]) — the variance early-warning the §2.2.2
-//! discussion asks for, available *during* ingest instead of after the
-//! trace closes — surfaced through `health_metrics` along with the
-//! running ESS / max-weight diagnostics.
+//! Beyond the estimate, every online estimator keeps Welford moments of
+//! its folded terms — the variance early-warning the §2.2.2 discussion
+//! asks for, available *during* ingest instead of after the trace
+//! closes — surfaced through `health_metrics` along with the running ESS
+//! / max-weight diagnostics.
 //!
 //! For non-stationarity (§4.1), [`SlidingWindow`] bounds any online
 //! estimator to the last `capacity` records: the windowed estimate equals
 //! the batch estimate over exactly those records.
 
-use crate::estimate::{EstimatorError, WeightDiagnostics};
+use crate::adaptive::{AdaptiveDr, AdaptiveIps, AdaptiveWeights};
+use crate::dm::DirectMethod;
+use crate::dr::DoublyRobust;
+use crate::estimate::{check_space, EstimatorError, WeightDiagnostics};
+use crate::ips::{ClippedIps, Ips, SelfNormalizedIps};
+use crate::kernel::{check_kind, field, state_err, uint, Fold, Kernel, RecordRow};
+use crate::marginalized::{ActionEmbedding, MarginalizedDr};
+use crate::seq::SeqDr;
 use ddn_models::RewardModel;
 use ddn_policy::Policy;
 use ddn_stats::Json;
 use ddn_trace::{DecisionSpace, TraceRecord};
 use std::collections::VecDeque;
-
-// ---- state serialization plumbing -------------------------------------
-//
-// `state_save`/`state_load` must round-trip *bits*, not values: the sums
-// start at `-0.0` (the float `Sum` identity) and the running max starts
-// at `-inf`, and JSON number formatting renders neither faithfully. Every
-// f64 therefore travels as its `to_bits()` pattern in a JSON integer,
-// which survives any JSON round trip exactly.
-
-fn state_err(msg: impl Into<String>) -> EstimatorError {
-    EstimatorError::State(msg.into())
-}
-
-fn bits(x: f64) -> Json {
-    Json::Int(x.to_bits() as i64)
-}
-
-fn field<'a>(state: &'a Json, key: &str) -> Result<&'a Json, EstimatorError> {
-    state
-        .get(key)
-        .ok_or_else(|| state_err(format!("missing field `{key}`")))
-}
-
-fn unbits(state: &Json, key: &str) -> Result<f64, EstimatorError> {
-    field(state, key)?
-        .as_i64()
-        .map(|b| f64::from_bits(b as u64))
-        .ok_or_else(|| state_err(format!("field `{key}` must hold f64 bits")))
-}
-
-fn uint(state: &Json, key: &str) -> Result<u64, EstimatorError> {
-    field(state, key)?
-        .as_u64()
-        .ok_or_else(|| state_err(format!("field `{key}` must be a non-negative integer")))
-}
-
-fn check_kind(state: &Json, want: &str) -> Result<(), EstimatorError> {
-    let got = field(state, "est")?
-        .as_str()
-        .ok_or_else(|| state_err("field `est` must be a string"))?;
-    if got != want {
-        return Err(state_err(format!(
-            "state is for estimator {got:?}, not {want:?}"
-        )));
-    }
-    Ok(())
-}
-
-/// Welford-style streaming mean/variance of per-record contributions.
-///
-/// This is health telemetry, not part of the bit-identity contract: the
-/// estimate itself comes from the plain left-fold sum (matching the batch
-/// engine), while these moments give an any-time view of estimator
-/// variance — `variance / n` approximates the squared standard error.
-#[derive(Debug, Clone)]
-pub struct StreamingMoments {
-    inner: ddn_stats::Welford,
-}
-
-impl StreamingMoments {
-    fn new() -> Self {
-        Self {
-            inner: ddn_stats::Welford::new(),
-        }
-    }
-
-    fn push(&mut self, x: f64) {
-        self.inner.push(x);
-    }
-
-    /// Number of contributions observed.
-    pub fn count(&self) -> u64 {
-        self.inner.count()
-    }
-
-    /// Running mean contribution.
-    pub fn mean(&self) -> f64 {
-        self.inner.mean()
-    }
-
-    /// Unbiased sample variance of the contributions.
-    pub fn variance(&self) -> f64 {
-        self.inner.variance()
-    }
-
-    /// Standard error of the value estimate implied by the running
-    /// variance: `sqrt(variance / n)`; `0.0` before two observations.
-    pub fn standard_error(&self) -> f64 {
-        let n = self.inner.count();
-        if n < 2 {
-            0.0
-        } else {
-            (self.inner.variance() / n as f64).sqrt()
-        }
-    }
-
-    fn state_save(&self) -> Json {
-        let (n, mean, m2, min, max) = self.inner.to_raw();
-        Json::Object(vec![
-            ("n".into(), Json::Int(n as i64)),
-            ("mean".into(), bits(mean)),
-            ("m2".into(), bits(m2)),
-            ("min".into(), bits(min)),
-            ("max".into(), bits(max)),
-        ])
-    }
-
-    fn state_load(state: &Json) -> Result<Self, EstimatorError> {
-        Ok(Self {
-            inner: ddn_stats::Welford::from_raw(
-                uint(state, "n")?,
-                unbits(state, "mean")?,
-                unbits(state, "m2")?,
-                unbits(state, "min")?,
-                unbits(state, "max")?,
-            ),
-        })
-    }
-}
-
-/// Running importance-weight accumulators replicating
-/// [`WeightDiagnostics::from_weights`] bit-for-bit: each field is the same
-/// left fold the batch version computes over the full weight vector.
-#[derive(Debug, Clone)]
-struct WeightAcc {
-    n: usize,
-    sum: f64,
-    sum_sq: f64,
-    zeros: usize,
-    max: f64,
-}
-
-impl WeightAcc {
-    fn new() -> Self {
-        // std's float `Sum` folds from -0.0, so the batch sums start
-        // there; matching the identity keeps the running sums
-        // bit-identical even when every term is a signed zero.
-        Self {
-            n: 0,
-            sum: -0.0,
-            sum_sq: -0.0,
-            zeros: 0,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    fn push(&mut self, w: f64) {
-        self.n += 1;
-        self.sum += w;
-        self.sum_sq += w * w;
-        if w == 0.0 {
-            self.zeros += 1;
-        }
-        self.max = f64::max(self.max, w);
-    }
-
-    fn diagnostics(&self) -> WeightDiagnostics {
-        WeightDiagnostics {
-            n: self.n,
-            mean_weight: self.sum / self.n as f64,
-            max_weight: self.max,
-            effective_sample_size: if self.sum_sq > 0.0 {
-                self.sum * self.sum / self.sum_sq
-            } else {
-                0.0
-            },
-            zero_weight_fraction: self.zeros as f64 / self.n as f64,
-        }
-    }
-
-    fn state_save(&self) -> Json {
-        Json::Object(vec![
-            ("n".into(), Json::Int(self.n as i64)),
-            ("sum".into(), bits(self.sum)),
-            ("sum_sq".into(), bits(self.sum_sq)),
-            ("zeros".into(), Json::Int(self.zeros as i64)),
-            ("max".into(), bits(self.max)),
-        ])
-    }
-
-    fn state_load(state: &Json) -> Result<Self, EstimatorError> {
-        Ok(Self {
-            n: uint(state, "n")? as usize,
-            sum: unbits(state, "sum")?,
-            sum_sq: unbits(state, "sum_sq")?,
-            zeros: uint(state, "zeros")? as usize,
-            max: unbits(state, "max")?,
-        })
-    }
-}
 
 /// The output of an online estimator: the batch-identical value and
 /// diagnostics, without the O(n) per-record vector an offline
@@ -242,7 +50,8 @@ pub struct OnlineEstimate {
     /// batch [`crate::Estimate::value`] over the same records in the same
     /// order.
     pub value: f64,
-    /// Number of records pushed so far.
+    /// Number of units folded into the value: records, or completed
+    /// trajectories for SeqDR.
     pub n: usize,
     /// Importance-weight diagnostics, bit-identical to the batch path.
     pub diagnostics: WeightDiagnostics,
@@ -261,8 +70,9 @@ pub trait OnlineEstimator {
     fn push(&mut self, rec: &TraceRecord) -> Result<(), EstimatorError>;
 
     /// The estimate over everything pushed so far.
-    /// `Err(NoUsableRecords)` before the first record (and, for SNIPS,
-    /// whenever the weight mass is not positive — same as the batch).
+    /// `Err(NoUsableRecords)` before the first record (and, for the ratio
+    /// estimators, whenever the normalizing mass is not positive — same
+    /// as the batch).
     fn estimate(&self) -> Result<OnlineEstimate, EstimatorError>;
 
     /// Number of records accepted so far.
@@ -329,366 +139,115 @@ impl<E: OnlineEstimator + ?Sized> OnlineEstimator for Box<E> {
     }
 }
 
-fn common_health(
-    n: usize,
-    acc: Option<&WeightAcc>,
-    moments: &StreamingMoments,
-) -> Vec<(&'static str, f64)> {
-    let mut m: Vec<(&'static str, f64)> = vec![("n", n as f64)];
-    if n == 0 {
-        return m;
+/// A streaming estimator: kernel `K` evaluating `policy`, folded one
+/// record at a time. State is O(1) in the records pushed.
+pub struct Online<K> {
+    kernel: K,
+    policy: Target,
+    fold: Fold,
+}
+
+impl<K: Kernel> Online<K> {
+    /// Fails like the batch path when `policy`'s (or the kernel's own)
+    /// decision space does not match `space`.
+    fn with(space: DecisionSpace, policy: Target, kernel: K) -> Result<Self, EstimatorError> {
+        check_space(&space, policy.space())?;
+        kernel.check(&space)?;
+        Ok(Self {
+            kernel,
+            policy,
+            fold: Fold::streaming(),
+        })
     }
-    let diag = match acc {
-        Some(acc) => acc.diagnostics(),
-        None => WeightDiagnostics::uniform(n),
-    };
-    m.push(("ess", diag.effective_sample_size));
-    m.push(("max_weight", diag.max_weight));
-    m.push(("mean_weight", diag.mean_weight));
-    m.push(("zero_weight_fraction", diag.zero_weight_fraction));
-    m.push(("contribution_mean", moments.mean()));
-    m.push(("contribution_variance", moments.variance()));
-    m.push(("standard_error", moments.standard_error()));
-    m
 }
 
-fn check_policy_space(
-    space: &DecisionSpace,
-    policy: &dyn Policy,
-) -> Result<(), EstimatorError> {
-    if space.len() != policy.space().len() {
-        return Err(EstimatorError::SpaceMismatch {
-            trace: space.len(),
-            policy: policy.space().len(),
-        });
+impl<K: Kernel> OnlineEstimator for Online<K> {
+    fn name(&self) -> &str {
+        K::NAME
     }
-    Ok(())
+
+    fn push(&mut self, rec: &TraceRecord) -> Result<(), EstimatorError> {
+        let row = RecordRow::new(rec, self.policy.as_ref(), self.fold.seen);
+        self.fold.push(&self.kernel, &row).map(drop)
+    }
+
+    fn estimate(&self) -> Result<OnlineEstimate, EstimatorError> {
+        Ok(OnlineEstimate {
+            value: self.fold.value(self.kernel.norm())?,
+            n: self.fold.n,
+            diagnostics: self.fold.diagnostics(),
+        })
+    }
+
+    fn len(&self) -> usize {
+        self.fold.seen
+    }
+
+    fn reset(&mut self) {
+        self.fold = Fold::streaming();
+    }
+
+    fn health_metrics(&self) -> Vec<(&'static str, f64)> {
+        self.fold.health(self.kernel.extras(&self.fold))
+    }
+
+    fn state_save(&self) -> Json {
+        self.fold.state_save(K::NAME)
+    }
+
+    fn state_load(&mut self, state: &Json) -> Result<(), EstimatorError> {
+        self.fold = Fold::state_load(state, K::NAME, self.kernel.horizon())?;
+        Ok(())
+    }
 }
 
-/// The importance weight for the record at stream position `k`, with the
-/// batch path's error surface (`MissingPropensity { record: k }`).
-fn weight_at(
-    policy: &dyn Policy,
-    rec: &TraceRecord,
-    k: usize,
-) -> Result<f64, EstimatorError> {
-    let p_old = rec.require_propensity(k)?;
-    let p_new = policy.prob(&rec.context, rec.decision);
-    Ok(p_new / p_old)
-}
+type Model = Box<dyn RewardModel + Send + Sync>;
+type Target = Box<dyn Policy + Send + Sync>;
 
-/// Streaming Direct Method: `push` folds `Σ_d μ_new(d|c_k)·r̂(c_k,d)` into
-/// a running sum. O(1) state; never needs propensities.
-pub struct OnlineDm {
-    space: DecisionSpace,
-    policy: Box<dyn Policy + Send + Sync>,
-    model: Box<dyn RewardModel + Send + Sync>,
-    n: usize,
-    contribution_sum: f64,
-    moments: StreamingMoments,
-}
+/// Streaming Direct Method. Never needs propensities.
+pub type OnlineDm = Online<DirectMethod<Model>>;
+/// Streaming plain IPS.
+pub type OnlineIps = Online<Ips>;
+/// Streaming self-normalized IPS: `Σ w·r / Σ w` from two running sums.
+pub type OnlineSnips = Online<SelfNormalizedIps>;
+/// Streaming weight-clipped IPS.
+pub type OnlineClippedIps = Online<ClippedIps>;
+/// Streaming Doubly Robust.
+pub type OnlineDr = Online<DoublyRobust<Model>>;
+/// Streaming adaptively-weighted IPS ([`crate::AdaptiveIps`]).
+pub type OnlineAdaptiveIps = Online<AdaptiveIps>;
+/// Streaming adaptively-weighted DR ([`crate::AdaptiveDr`]).
+pub type OnlineAdaptiveDr = Online<AdaptiveDr<Model>>;
+/// Streaming marginalized DR ([`crate::MarginalizedDr`]). Never reads
+/// recorded propensities.
+pub type OnlineMarginalizedDr = Online<MarginalizedDr<Model>>;
+/// Streaming per-decision sequential DR ([`crate::SeqDr`]). Records
+/// buffer into the pending trajectory; when it reaches `horizon` steps it
+/// folds through the backward recursion. Weight diagnostics cover
+/// completed trajectories only, matching the batch path.
+pub type OnlineSeqDr = Online<SeqDr<Model>>;
 
 impl OnlineDm {
     /// Creates a streaming DM over `space`, evaluating `policy` through
     /// `model`. Fails like the batch path when the policy's decision space
     /// does not match the trace's.
-    pub fn new(
-        space: DecisionSpace,
-        policy: Box<dyn Policy + Send + Sync>,
-        model: Box<dyn RewardModel + Send + Sync>,
-    ) -> Result<Self, EstimatorError> {
-        check_policy_space(&space, policy.as_ref())?;
-        Ok(Self {
-            space,
-            policy,
-            model,
-            n: 0,
-            contribution_sum: -0.0,
-            moments: StreamingMoments::new(),
-        })
+    pub fn new(space: DecisionSpace, policy: Target, model: Model) -> Result<Self, EstimatorError> {
+        Online::with(space, policy, DirectMethod::new(model))
     }
-}
-
-impl OnlineEstimator for OnlineDm {
-    fn name(&self) -> &str {
-        "DM"
-    }
-
-    fn push(&mut self, rec: &TraceRecord) -> Result<(), EstimatorError> {
-        let probs = self.policy.probabilities(&rec.context);
-        let contribution: f64 = self
-            .space
-            .iter()
-            .map(|d| probs[d.index()] * self.model.predict(&rec.context, d))
-            .sum();
-        self.contribution_sum += contribution;
-        self.moments.push(contribution);
-        self.n += 1;
-        Ok(())
-    }
-
-    fn estimate(&self) -> Result<OnlineEstimate, EstimatorError> {
-        if self.n == 0 {
-            return Err(EstimatorError::NoUsableRecords);
-        }
-        Ok(OnlineEstimate {
-            value: self.contribution_sum / self.n as f64,
-            n: self.n,
-            diagnostics: WeightDiagnostics::uniform(self.n),
-        })
-    }
-
-    fn len(&self) -> usize {
-        self.n
-    }
-
-    fn reset(&mut self) {
-        self.n = 0;
-        self.contribution_sum = -0.0;
-        self.moments = StreamingMoments::new();
-    }
-
-    fn health_metrics(&self) -> Vec<(&'static str, f64)> {
-        common_health(self.n, None, &self.moments)
-    }
-
-    fn state_save(&self) -> Json {
-        Json::Object(vec![
-            ("est".into(), Json::str(self.name())),
-            ("n".into(), Json::Int(self.n as i64)),
-            ("sum".into(), bits(self.contribution_sum)),
-            ("moments".into(), self.moments.state_save()),
-        ])
-    }
-
-    fn state_load(&mut self, state: &Json) -> Result<(), EstimatorError> {
-        check_kind(state, self.name())?;
-        let n = uint(state, "n")? as usize;
-        let sum = unbits(state, "sum")?;
-        let moments = StreamingMoments::state_load(field(state, "moments")?)?;
-        self.n = n;
-        self.contribution_sum = sum;
-        self.moments = moments;
-        Ok(())
-    }
-}
-
-/// Streaming plain IPS: running `Σ w_k·r_k` plus weight accumulators.
-/// O(1) state.
-pub struct OnlineIps {
-    policy: Box<dyn Policy + Send + Sync>,
-    n: usize,
-    contribution_sum: f64,
-    acc: WeightAcc,
-    moments: StreamingMoments,
 }
 
 impl OnlineIps {
     /// Creates a streaming IPS evaluator of `policy` over `space`.
-    pub fn new(space: DecisionSpace, policy: Box<dyn Policy + Send + Sync>) -> Result<Self, EstimatorError> {
-        check_policy_space(&space, policy.as_ref())?;
-        Ok(Self {
-            policy,
-            n: 0,
-            contribution_sum: -0.0,
-            acc: WeightAcc::new(),
-            moments: StreamingMoments::new(),
-        })
+    pub fn new(space: DecisionSpace, policy: Target) -> Result<Self, EstimatorError> {
+        Online::with(space, policy, Ips)
     }
-}
-
-impl OnlineEstimator for OnlineIps {
-    fn name(&self) -> &str {
-        "IPS"
-    }
-
-    fn push(&mut self, rec: &TraceRecord) -> Result<(), EstimatorError> {
-        let w = weight_at(self.policy.as_ref(), rec, self.n)?;
-        let contribution = w * rec.reward;
-        self.contribution_sum += contribution;
-        self.acc.push(w);
-        self.moments.push(contribution);
-        self.n += 1;
-        Ok(())
-    }
-
-    fn estimate(&self) -> Result<OnlineEstimate, EstimatorError> {
-        if self.n == 0 {
-            return Err(EstimatorError::NoUsableRecords);
-        }
-        Ok(OnlineEstimate {
-            value: self.contribution_sum / self.n as f64,
-            n: self.n,
-            diagnostics: self.acc.diagnostics(),
-        })
-    }
-
-    fn len(&self) -> usize {
-        self.n
-    }
-
-    fn reset(&mut self) {
-        self.n = 0;
-        self.contribution_sum = -0.0;
-        self.acc = WeightAcc::new();
-        self.moments = StreamingMoments::new();
-    }
-
-    fn health_metrics(&self) -> Vec<(&'static str, f64)> {
-        common_health(self.n, Some(&self.acc), &self.moments)
-    }
-
-    fn state_save(&self) -> Json {
-        Json::Object(vec![
-            ("est".into(), Json::str(self.name())),
-            ("n".into(), Json::Int(self.n as i64)),
-            ("sum".into(), bits(self.contribution_sum)),
-            ("acc".into(), self.acc.state_save()),
-            ("moments".into(), self.moments.state_save()),
-        ])
-    }
-
-    fn state_load(&mut self, state: &Json) -> Result<(), EstimatorError> {
-        check_kind(state, self.name())?;
-        let n = uint(state, "n")? as usize;
-        let sum = unbits(state, "sum")?;
-        let acc = WeightAcc::state_load(field(state, "acc")?)?;
-        let moments = StreamingMoments::state_load(field(state, "moments")?)?;
-        self.n = n;
-        self.contribution_sum = sum;
-        self.acc = acc;
-        self.moments = moments;
-        Ok(())
-    }
-}
-
-/// Streaming self-normalized IPS.
-///
-/// SNIPS cannot be O(1): its per-record term `n·w_k·r_k / Σw` places the
-/// final count and weight sum *inside* each term's non-associative float
-/// expression, so `estimate` must replay the exact batch loop. The
-/// retained state is the `(w_k, r_k)` pairs — two f64 per record.
-pub struct OnlineSnips {
-    policy: Box<dyn Policy + Send + Sync>,
-    pairs: Vec<(f64, f64)>,
-    acc: WeightAcc,
-    moments: StreamingMoments,
 }
 
 impl OnlineSnips {
     /// Creates a streaming SNIPS evaluator of `policy` over `space`.
-    pub fn new(space: DecisionSpace, policy: Box<dyn Policy + Send + Sync>) -> Result<Self, EstimatorError> {
-        check_policy_space(&space, policy.as_ref())?;
-        Ok(Self {
-            policy,
-            pairs: Vec::new(),
-            acc: WeightAcc::new(),
-            moments: StreamingMoments::new(),
-        })
+    pub fn new(space: DecisionSpace, policy: Target) -> Result<Self, EstimatorError> {
+        Online::with(space, policy, SelfNormalizedIps)
     }
-}
-
-impl OnlineEstimator for OnlineSnips {
-    fn name(&self) -> &str {
-        "SNIPS"
-    }
-
-    fn push(&mut self, rec: &TraceRecord) -> Result<(), EstimatorError> {
-        let w = weight_at(self.policy.as_ref(), rec, self.pairs.len())?;
-        self.pairs.push((w, rec.reward));
-        self.acc.push(w);
-        // The moments track the *unnormalized* w·r terms: the normalized
-        // contributions are not knowable until the stream ends.
-        self.moments.push(w * rec.reward);
-        Ok(())
-    }
-
-    fn estimate(&self) -> Result<OnlineEstimate, EstimatorError> {
-        // Same order of checks and float operations as the batch path:
-        // wsum is a left fold over the weights, each contribution is
-        // ((n·w)·r)/wsum, and the value is their left-fold mean.
-        let wsum: f64 = self.pairs.iter().map(|(w, _)| *w).sum();
-        if wsum <= 0.0 {
-            return Err(EstimatorError::NoUsableRecords);
-        }
-        let n = self.pairs.len() as f64;
-        let mut contribution_sum = -0.0;
-        for (w, r) in &self.pairs {
-            contribution_sum += n * w * r / wsum;
-        }
-        Ok(OnlineEstimate {
-            value: contribution_sum / n,
-            n: self.pairs.len(),
-            diagnostics: self.acc.diagnostics(),
-        })
-    }
-
-    fn len(&self) -> usize {
-        self.pairs.len()
-    }
-
-    fn reset(&mut self) {
-        self.pairs.clear();
-        self.acc = WeightAcc::new();
-        self.moments = StreamingMoments::new();
-    }
-
-    fn health_metrics(&self) -> Vec<(&'static str, f64)> {
-        common_health(self.pairs.len(), Some(&self.acc), &self.moments)
-    }
-
-    fn state_save(&self) -> Json {
-        // The (w, r) tail is stored as a flat alternating bit array.
-        let mut flat = Vec::with_capacity(self.pairs.len() * 2);
-        for (w, r) in &self.pairs {
-            flat.push(bits(*w));
-            flat.push(bits(*r));
-        }
-        Json::Object(vec![
-            ("est".into(), Json::str(self.name())),
-            ("pairs".into(), Json::Array(flat)),
-            ("acc".into(), self.acc.state_save()),
-            ("moments".into(), self.moments.state_save()),
-        ])
-    }
-
-    fn state_load(&mut self, state: &Json) -> Result<(), EstimatorError> {
-        check_kind(state, self.name())?;
-        let flat = field(state, "pairs")?
-            .as_array()
-            .ok_or_else(|| state_err("field `pairs` must be an array"))?;
-        if flat.len() % 2 != 0 {
-            return Err(state_err("`pairs` must hold an even number of entries"));
-        }
-        let mut pairs = Vec::with_capacity(flat.len() / 2);
-        for wr in flat.chunks(2) {
-            let decode = |v: &Json| {
-                v.as_i64()
-                    .map(|b| f64::from_bits(b as u64))
-                    .ok_or_else(|| state_err("`pairs` entries must hold f64 bits"))
-            };
-            pairs.push((decode(&wr[0])?, decode(&wr[1])?));
-        }
-        let acc = WeightAcc::state_load(field(state, "acc")?)?;
-        let moments = StreamingMoments::state_load(field(state, "moments")?)?;
-        self.pairs = pairs;
-        self.acc = acc;
-        self.moments = moments;
-        Ok(())
-    }
-}
-
-/// Streaming weight-clipped IPS: weights are capped at `max_weight` before
-/// they enter the running sums, exactly as [`crate::ClippedIps`] caps the
-/// full vector. O(1) state.
-pub struct OnlineClippedIps {
-    policy: Box<dyn Policy + Send + Sync>,
-    max_weight: f64,
-    n: usize,
-    clipped: usize,
-    contribution_sum: f64,
-    acc: WeightAcc,
-    moments: StreamingMoments,
 }
 
 impl OnlineClippedIps {
@@ -699,246 +258,19 @@ impl OnlineClippedIps {
     /// [`crate::ClippedIps::new`].
     pub fn new(
         space: DecisionSpace,
-        policy: Box<dyn Policy + Send + Sync>,
+        policy: Target,
         max_weight: f64,
     ) -> Result<Self, EstimatorError> {
-        assert!(
-            max_weight > 0.0 && max_weight.is_finite(),
-            "max_weight must be positive, got {max_weight}"
-        );
-        check_policy_space(&space, policy.as_ref())?;
-        Ok(Self {
-            policy,
-            max_weight,
-            n: 0,
-            clipped: 0,
-            contribution_sum: -0.0,
-            acc: WeightAcc::new(),
-            moments: StreamingMoments::new(),
-        })
+        Online::with(space, policy, ClippedIps::new(max_weight))
     }
-
-    /// Fraction of records whose raw weight exceeded the cap.
-    pub fn clip_rate(&self) -> f64 {
-        self.clipped as f64 / self.n.max(1) as f64
-    }
-}
-
-impl OnlineEstimator for OnlineClippedIps {
-    fn name(&self) -> &str {
-        "ClippedIPS"
-    }
-
-    fn push(&mut self, rec: &TraceRecord) -> Result<(), EstimatorError> {
-        let raw = weight_at(self.policy.as_ref(), rec, self.n)?;
-        if raw > self.max_weight {
-            self.clipped += 1;
-        }
-        let w = raw.min(self.max_weight);
-        let contribution = w * rec.reward;
-        self.contribution_sum += contribution;
-        self.acc.push(w);
-        self.moments.push(contribution);
-        self.n += 1;
-        Ok(())
-    }
-
-    fn estimate(&self) -> Result<OnlineEstimate, EstimatorError> {
-        if self.n == 0 {
-            return Err(EstimatorError::NoUsableRecords);
-        }
-        Ok(OnlineEstimate {
-            value: self.contribution_sum / self.n as f64,
-            n: self.n,
-            diagnostics: self.acc.diagnostics(),
-        })
-    }
-
-    fn len(&self) -> usize {
-        self.n
-    }
-
-    fn reset(&mut self) {
-        self.n = 0;
-        self.clipped = 0;
-        self.contribution_sum = -0.0;
-        self.acc = WeightAcc::new();
-        self.moments = StreamingMoments::new();
-    }
-
-    fn health_metrics(&self) -> Vec<(&'static str, f64)> {
-        let mut m = common_health(self.n, Some(&self.acc), &self.moments);
-        if self.n > 0 {
-            m.push(("clip_rate", self.clip_rate()));
-        }
-        m
-    }
-
-    fn state_save(&self) -> Json {
-        Json::Object(vec![
-            ("est".into(), Json::str(self.name())),
-            ("n".into(), Json::Int(self.n as i64)),
-            ("clipped".into(), Json::Int(self.clipped as i64)),
-            ("sum".into(), bits(self.contribution_sum)),
-            ("acc".into(), self.acc.state_save()),
-            ("moments".into(), self.moments.state_save()),
-        ])
-    }
-
-    fn state_load(&mut self, state: &Json) -> Result<(), EstimatorError> {
-        check_kind(state, self.name())?;
-        let n = uint(state, "n")? as usize;
-        let clipped = uint(state, "clipped")? as usize;
-        let sum = unbits(state, "sum")?;
-        let acc = WeightAcc::state_load(field(state, "acc")?)?;
-        let moments = StreamingMoments::state_load(field(state, "moments")?)?;
-        self.n = n;
-        self.clipped = clipped;
-        self.contribution_sum = sum;
-        self.acc = acc;
-        self.moments = moments;
-        Ok(())
-    }
-}
-
-/// Streaming Doubly Robust: running sum of
-/// `dm_term_k + w_k·(r_k − r̂(c_k, d_k))`, in the exact expression shape of
-/// the batch path. O(1) state.
-pub struct OnlineDr {
-    space: DecisionSpace,
-    policy: Box<dyn Policy + Send + Sync>,
-    model: Box<dyn RewardModel + Send + Sync>,
-    n: usize,
-    contribution_sum: f64,
-    abs_residual_sum: f64,
-    acc: WeightAcc,
-    moments: StreamingMoments,
 }
 
 impl OnlineDr {
     /// Creates a streaming DR evaluator of `policy` over `space` with the
     /// given (pre-fitted) reward model.
-    pub fn new(
-        space: DecisionSpace,
-        policy: Box<dyn Policy + Send + Sync>,
-        model: Box<dyn RewardModel + Send + Sync>,
-    ) -> Result<Self, EstimatorError> {
-        check_policy_space(&space, policy.as_ref())?;
-        Ok(Self {
-            space,
-            policy,
-            model,
-            n: 0,
-            contribution_sum: -0.0,
-            abs_residual_sum: 0.0,
-            acc: WeightAcc::new(),
-            moments: StreamingMoments::new(),
-        })
+    pub fn new(space: DecisionSpace, policy: Target, model: Model) -> Result<Self, EstimatorError> {
+        Online::with(space, policy, DoublyRobust::new(model))
     }
-
-    /// Running mean absolute model residual at the logged decisions — the
-    /// DM half's calibration check.
-    pub fn mean_abs_residual(&self) -> f64 {
-        self.abs_residual_sum / self.n.max(1) as f64
-    }
-}
-
-impl OnlineEstimator for OnlineDr {
-    fn name(&self) -> &str {
-        "DR"
-    }
-
-    fn push(&mut self, rec: &TraceRecord) -> Result<(), EstimatorError> {
-        let w = weight_at(self.policy.as_ref(), rec, self.n)?;
-        let probs = self.policy.probabilities(&rec.context);
-        let dm_term: f64 = self
-            .space
-            .iter()
-            .map(|d| probs[d.index()] * self.model.predict(&rec.context, d))
-            .sum();
-        let residual = rec.reward - self.model.predict(&rec.context, rec.decision);
-        let contribution = dm_term + w * residual;
-        self.contribution_sum += contribution;
-        self.abs_residual_sum += residual.abs();
-        self.acc.push(w);
-        self.moments.push(contribution);
-        self.n += 1;
-        Ok(())
-    }
-
-    fn estimate(&self) -> Result<OnlineEstimate, EstimatorError> {
-        if self.n == 0 {
-            return Err(EstimatorError::NoUsableRecords);
-        }
-        Ok(OnlineEstimate {
-            value: self.contribution_sum / self.n as f64,
-            n: self.n,
-            diagnostics: self.acc.diagnostics(),
-        })
-    }
-
-    fn len(&self) -> usize {
-        self.n
-    }
-
-    fn reset(&mut self) {
-        self.n = 0;
-        self.contribution_sum = -0.0;
-        self.abs_residual_sum = 0.0;
-        self.acc = WeightAcc::new();
-        self.moments = StreamingMoments::new();
-    }
-
-    fn health_metrics(&self) -> Vec<(&'static str, f64)> {
-        let mut m = common_health(self.n, Some(&self.acc), &self.moments);
-        if self.n > 0 {
-            m.push(("mean_abs_residual", self.mean_abs_residual()));
-        }
-        m
-    }
-
-    fn state_save(&self) -> Json {
-        Json::Object(vec![
-            ("est".into(), Json::str(self.name())),
-            ("n".into(), Json::Int(self.n as i64)),
-            ("sum".into(), bits(self.contribution_sum)),
-            ("abs_residual_sum".into(), bits(self.abs_residual_sum)),
-            ("acc".into(), self.acc.state_save()),
-            ("moments".into(), self.moments.state_save()),
-        ])
-    }
-
-    fn state_load(&mut self, state: &Json) -> Result<(), EstimatorError> {
-        check_kind(state, self.name())?;
-        let n = uint(state, "n")? as usize;
-        let sum = unbits(state, "sum")?;
-        let abs_residual_sum = unbits(state, "abs_residual_sum")?;
-        let acc = WeightAcc::state_load(field(state, "acc")?)?;
-        let moments = StreamingMoments::state_load(field(state, "moments")?)?;
-        self.n = n;
-        self.contribution_sum = sum;
-        self.abs_residual_sum = abs_residual_sum;
-        self.acc = acc;
-        self.moments = moments;
-        Ok(())
-    }
-}
-
-/// Streaming adaptively-weighted IPS ([`crate::AdaptiveIps`]).
-///
-/// Like SNIPS, the stabilized per-record term `(h_k·Γ_k)·(n/Σh)` embeds
-/// end-of-stream quantities (`n`, `Σh`) inside non-associative float
-/// expressions, so the estimator retains the `(h_k, Γ_k)` pairs — two
-/// f64 per record — and replays the exact batch fold at `estimate` time.
-pub struct OnlineAdaptiveIps {
-    policy: Box<dyn Policy + Send + Sync>,
-    mode: crate::adaptive::AdaptiveWeights,
-    /// `(h_k, Γ_k)` per accepted record, in push order.
-    pairs: Vec<(f64, f64)>,
-    /// EMA of past squared weights — the stabilizer's variance tracker.
-    ema: f64,
-    acc: WeightAcc,
-    moments: StreamingMoments,
 }
 
 impl OnlineAdaptiveIps {
@@ -946,163 +278,11 @@ impl OnlineAdaptiveIps {
     /// `space` with the given stabilizer schedule.
     pub fn new(
         space: DecisionSpace,
-        policy: Box<dyn Policy + Send + Sync>,
-        mode: crate::adaptive::AdaptiveWeights,
+        policy: Target,
+        mode: AdaptiveWeights,
     ) -> Result<Self, EstimatorError> {
-        check_policy_space(&space, policy.as_ref())?;
-        Ok(Self {
-            policy,
-            mode,
-            pairs: Vec::new(),
-            ema: 1.0,
-            acc: WeightAcc::new(),
-            moments: StreamingMoments::new(),
-        })
+        Online::with(space, policy, AdaptiveIps::new(mode))
     }
-
-    /// The running stabilizer mass `Σh` — the same left fold the batch
-    /// path computes.
-    pub fn hsum(&self) -> f64 {
-        self.pairs.iter().map(|(h, _)| *h).sum()
-    }
-}
-
-/// The shared `estimate` tail of the adaptive family: replay the exact
-/// batch fold `(1/n)·Σ (h_k·Γ_k)·(n/Σh)` over the retained pairs.
-fn adaptive_estimate(
-    pairs: &[(f64, f64)],
-    acc: &WeightAcc,
-) -> Result<OnlineEstimate, EstimatorError> {
-    let hsum: f64 = pairs.iter().map(|(h, _)| *h).sum();
-    if hsum <= 0.0 {
-        return Err(EstimatorError::NoUsableRecords);
-    }
-    let n = pairs.len() as f64;
-    let scale = n / hsum;
-    let mut contribution_sum = -0.0;
-    for (h, g) in pairs {
-        contribution_sum += (h * g) * scale;
-    }
-    Ok(OnlineEstimate {
-        value: contribution_sum / n,
-        n: pairs.len(),
-        diagnostics: acc.diagnostics(),
-    })
-}
-
-/// Encodes `(a, b)` pairs as a flat alternating bit array (the SNIPS
-/// state format).
-fn save_pairs(pairs: &[(f64, f64)]) -> Json {
-    let mut flat = Vec::with_capacity(pairs.len() * 2);
-    for (a, b) in pairs {
-        flat.push(bits(*a));
-        flat.push(bits(*b));
-    }
-    Json::Array(flat)
-}
-
-/// Decodes a flat alternating bit array back into `(a, b)` pairs.
-fn load_pairs(state: &Json, key: &str) -> Result<Vec<(f64, f64)>, EstimatorError> {
-    let flat = field(state, key)?
-        .as_array()
-        .ok_or_else(|| state_err(format!("field `{key}` must be an array")))?;
-    if flat.len() % 2 != 0 {
-        return Err(state_err(format!(
-            "`{key}` must hold an even number of entries"
-        )));
-    }
-    let decode = |v: &Json| {
-        v.as_i64()
-            .map(|b| f64::from_bits(b as u64))
-            .ok_or_else(|| state_err(format!("`{key}` entries must hold f64 bits")))
-    };
-    let mut pairs = Vec::with_capacity(flat.len() / 2);
-    for ab in flat.chunks(2) {
-        pairs.push((decode(&ab[0])?, decode(&ab[1])?));
-    }
-    Ok(pairs)
-}
-
-impl OnlineEstimator for OnlineAdaptiveIps {
-    fn name(&self) -> &str {
-        "AdaptiveIPS"
-    }
-
-    fn push(&mut self, rec: &TraceRecord) -> Result<(), EstimatorError> {
-        let w = weight_at(self.policy.as_ref(), rec, self.pairs.len())?;
-        let gamma = w * rec.reward;
-        // h sees only past weights; the tracker advances afterward.
-        let h = self.mode.h_at(self.ema);
-        self.ema = crate::adaptive::AdaptiveWeights::advance(self.ema, w);
-        self.pairs.push((h, gamma));
-        self.acc.push(w);
-        // The moments track the unscaled stabilized terms: the final
-        // normalization is not knowable until the stream ends.
-        self.moments.push(h * gamma);
-        Ok(())
-    }
-
-    fn estimate(&self) -> Result<OnlineEstimate, EstimatorError> {
-        adaptive_estimate(&self.pairs, &self.acc)
-    }
-
-    fn len(&self) -> usize {
-        self.pairs.len()
-    }
-
-    fn reset(&mut self) {
-        self.pairs.clear();
-        self.ema = 1.0;
-        self.acc = WeightAcc::new();
-        self.moments = StreamingMoments::new();
-    }
-
-    fn health_metrics(&self) -> Vec<(&'static str, f64)> {
-        let mut m = common_health(self.pairs.len(), Some(&self.acc), &self.moments);
-        if !self.pairs.is_empty() {
-            m.push(("hsum", self.hsum()));
-        }
-        m
-    }
-
-    fn state_save(&self) -> Json {
-        Json::Object(vec![
-            ("est".into(), Json::str(self.name())),
-            ("pairs".into(), save_pairs(&self.pairs)),
-            ("ema".into(), bits(self.ema)),
-            ("acc".into(), self.acc.state_save()),
-            ("moments".into(), self.moments.state_save()),
-        ])
-    }
-
-    fn state_load(&mut self, state: &Json) -> Result<(), EstimatorError> {
-        check_kind(state, self.name())?;
-        let pairs = load_pairs(state, "pairs")?;
-        let ema = unbits(state, "ema")?;
-        let acc = WeightAcc::state_load(field(state, "acc")?)?;
-        let moments = StreamingMoments::state_load(field(state, "moments")?)?;
-        self.pairs = pairs;
-        self.ema = ema;
-        self.acc = acc;
-        self.moments = moments;
-        Ok(())
-    }
-}
-
-/// Streaming adaptively-weighted DR ([`crate::AdaptiveDr`]): retains
-/// `(h_k, Γ_k)` pairs where `Γ_k` is the full DR contribution, and
-/// replays the stabilized fold at `estimate` time.
-pub struct OnlineAdaptiveDr {
-    space: DecisionSpace,
-    policy: Box<dyn Policy + Send + Sync>,
-    model: Box<dyn RewardModel + Send + Sync>,
-    mode: crate::adaptive::AdaptiveWeights,
-    pairs: Vec<(f64, f64)>,
-    /// EMA of past squared weights — the stabilizer's variance tracker.
-    ema: f64,
-    abs_residual_sum: f64,
-    acc: WeightAcc,
-    moments: StreamingMoments,
 }
 
 impl OnlineAdaptiveDr {
@@ -1111,120 +291,12 @@ impl OnlineAdaptiveDr {
     /// schedule.
     pub fn new(
         space: DecisionSpace,
-        policy: Box<dyn Policy + Send + Sync>,
-        model: Box<dyn RewardModel + Send + Sync>,
-        mode: crate::adaptive::AdaptiveWeights,
+        policy: Target,
+        model: Model,
+        mode: AdaptiveWeights,
     ) -> Result<Self, EstimatorError> {
-        check_policy_space(&space, policy.as_ref())?;
-        Ok(Self {
-            space,
-            policy,
-            model,
-            mode,
-            pairs: Vec::new(),
-            ema: 1.0,
-            abs_residual_sum: 0.0,
-            acc: WeightAcc::new(),
-            moments: StreamingMoments::new(),
-        })
+        Online::with(space, policy, AdaptiveDr::new(model, mode))
     }
-}
-
-impl OnlineEstimator for OnlineAdaptiveDr {
-    fn name(&self) -> &str {
-        "AdaptiveDR"
-    }
-
-    fn push(&mut self, rec: &TraceRecord) -> Result<(), EstimatorError> {
-        let w = weight_at(self.policy.as_ref(), rec, self.pairs.len())?;
-        let probs = self.policy.probabilities(&rec.context);
-        let dm_term: f64 = self
-            .space
-            .iter()
-            .map(|d| probs[d.index()] * self.model.predict(&rec.context, d))
-            .sum();
-        let residual = rec.reward - self.model.predict(&rec.context, rec.decision);
-        let gamma = dm_term + w * residual;
-        // h sees only past weights; the tracker advances afterward.
-        let h = self.mode.h_at(self.ema);
-        self.ema = crate::adaptive::AdaptiveWeights::advance(self.ema, w);
-        self.pairs.push((h, gamma));
-        self.abs_residual_sum += residual.abs();
-        self.acc.push(w);
-        self.moments.push(h * gamma);
-        Ok(())
-    }
-
-    fn estimate(&self) -> Result<OnlineEstimate, EstimatorError> {
-        adaptive_estimate(&self.pairs, &self.acc)
-    }
-
-    fn len(&self) -> usize {
-        self.pairs.len()
-    }
-
-    fn reset(&mut self) {
-        self.pairs.clear();
-        self.ema = 1.0;
-        self.abs_residual_sum = 0.0;
-        self.acc = WeightAcc::new();
-        self.moments = StreamingMoments::new();
-    }
-
-    fn health_metrics(&self) -> Vec<(&'static str, f64)> {
-        let mut m = common_health(self.pairs.len(), Some(&self.acc), &self.moments);
-        if !self.pairs.is_empty() {
-            m.push(("hsum", self.pairs.iter().map(|(h, _)| *h).sum()));
-            m.push((
-                "mean_abs_residual",
-                self.abs_residual_sum / self.pairs.len() as f64,
-            ));
-        }
-        m
-    }
-
-    fn state_save(&self) -> Json {
-        Json::Object(vec![
-            ("est".into(), Json::str(self.name())),
-            ("pairs".into(), save_pairs(&self.pairs)),
-            ("ema".into(), bits(self.ema)),
-            ("abs_residual_sum".into(), bits(self.abs_residual_sum)),
-            ("acc".into(), self.acc.state_save()),
-            ("moments".into(), self.moments.state_save()),
-        ])
-    }
-
-    fn state_load(&mut self, state: &Json) -> Result<(), EstimatorError> {
-        check_kind(state, self.name())?;
-        let pairs = load_pairs(state, "pairs")?;
-        let ema = unbits(state, "ema")?;
-        let abs_residual_sum = unbits(state, "abs_residual_sum")?;
-        let acc = WeightAcc::state_load(field(state, "acc")?)?;
-        let moments = StreamingMoments::state_load(field(state, "moments")?)?;
-        self.pairs = pairs;
-        self.ema = ema;
-        self.abs_residual_sum = abs_residual_sum;
-        self.acc = acc;
-        self.moments = moments;
-        Ok(())
-    }
-}
-
-/// Streaming marginalized DR ([`crate::MarginalizedDr`]): the marginal
-/// weight is final the moment a record arrives (both policy
-/// distributions are configuration), so the state is O(1) like
-/// [`OnlineDr`]. Never reads recorded propensities.
-pub struct OnlineMarginalizedDr {
-    space: DecisionSpace,
-    policy: Box<dyn Policy + Send + Sync>,
-    logging: Box<dyn Policy + Send + Sync>,
-    model: Box<dyn RewardModel + Send + Sync>,
-    embedding: crate::marginalized::ActionEmbedding,
-    n: usize,
-    contribution_sum: f64,
-    abs_residual_sum: f64,
-    acc: WeightAcc,
-    moments: StreamingMoments,
 }
 
 impl OnlineMarginalizedDr {
@@ -1236,148 +308,17 @@ impl OnlineMarginalizedDr {
     /// Panics if the embedding does not cover exactly `space`'s arms.
     pub fn new(
         space: DecisionSpace,
-        policy: Box<dyn Policy + Send + Sync>,
-        logging: Box<dyn Policy + Send + Sync>,
-        model: Box<dyn RewardModel + Send + Sync>,
-        embedding: crate::marginalized::ActionEmbedding,
+        policy: Target,
+        logging: Target,
+        model: Model,
+        embedding: ActionEmbedding,
     ) -> Result<Self, EstimatorError> {
-        check_policy_space(&space, policy.as_ref())?;
-        check_policy_space(&space, logging.as_ref())?;
-        assert_eq!(
-            embedding.len(),
-            space.len(),
-            "embedding covers {} arms but the space has {}",
-            embedding.len(),
-            space.len()
-        );
-        Ok(Self {
+        Online::with(
             space,
             policy,
-            logging,
-            model,
-            embedding,
-            n: 0,
-            contribution_sum: -0.0,
-            abs_residual_sum: 0.0,
-            acc: WeightAcc::new(),
-            moments: StreamingMoments::new(),
-        })
+            MarginalizedDr::new(model, embedding, logging),
+        )
     }
-}
-
-impl OnlineEstimator for OnlineMarginalizedDr {
-    fn name(&self) -> &str {
-        "MarginalizedDR"
-    }
-
-    fn push(&mut self, rec: &TraceRecord) -> Result<(), EstimatorError> {
-        let a = rec.decision.index();
-        let probs = self.policy.probabilities(&rec.context);
-        let num = self.embedding.marginal(&probs, a);
-        let den = self
-            .embedding
-            .marginal(&self.logging.probabilities(&rec.context), a);
-        let w = num / den;
-        let dm_term: f64 = self
-            .space
-            .iter()
-            .map(|d| probs[d.index()] * self.model.predict(&rec.context, d))
-            .sum();
-        let residual = rec.reward - self.model.predict(&rec.context, rec.decision);
-        let contribution = dm_term + w * residual;
-        self.contribution_sum += contribution;
-        self.abs_residual_sum += residual.abs();
-        self.acc.push(w);
-        self.moments.push(contribution);
-        self.n += 1;
-        Ok(())
-    }
-
-    fn estimate(&self) -> Result<OnlineEstimate, EstimatorError> {
-        if self.n == 0 {
-            return Err(EstimatorError::NoUsableRecords);
-        }
-        Ok(OnlineEstimate {
-            value: self.contribution_sum / self.n as f64,
-            n: self.n,
-            diagnostics: self.acc.diagnostics(),
-        })
-    }
-
-    fn len(&self) -> usize {
-        self.n
-    }
-
-    fn reset(&mut self) {
-        self.n = 0;
-        self.contribution_sum = -0.0;
-        self.abs_residual_sum = 0.0;
-        self.acc = WeightAcc::new();
-        self.moments = StreamingMoments::new();
-    }
-
-    fn health_metrics(&self) -> Vec<(&'static str, f64)> {
-        let mut m = common_health(self.n, Some(&self.acc), &self.moments);
-        if self.n > 0 {
-            m.push(("embedding_groups", self.embedding.num_groups() as f64));
-            m.push((
-                "mean_abs_residual",
-                self.abs_residual_sum / self.n as f64,
-            ));
-        }
-        m
-    }
-
-    fn state_save(&self) -> Json {
-        Json::Object(vec![
-            ("est".into(), Json::str(self.name())),
-            ("n".into(), Json::Int(self.n as i64)),
-            ("sum".into(), bits(self.contribution_sum)),
-            ("abs_residual_sum".into(), bits(self.abs_residual_sum)),
-            ("acc".into(), self.acc.state_save()),
-            ("moments".into(), self.moments.state_save()),
-        ])
-    }
-
-    fn state_load(&mut self, state: &Json) -> Result<(), EstimatorError> {
-        check_kind(state, self.name())?;
-        let n = uint(state, "n")? as usize;
-        let sum = unbits(state, "sum")?;
-        let abs_residual_sum = unbits(state, "abs_residual_sum")?;
-        let acc = WeightAcc::state_load(field(state, "acc")?)?;
-        let moments = StreamingMoments::state_load(field(state, "moments")?)?;
-        self.n = n;
-        self.contribution_sum = sum;
-        self.abs_residual_sum = abs_residual_sum;
-        self.acc = acc;
-        self.moments = moments;
-        Ok(())
-    }
-}
-
-/// Streaming per-decision sequential DR ([`crate::SeqDr`]).
-///
-/// Records buffer into a pending trajectory as precomputed
-/// `(dm, w, residual)` steps — propensity errors therefore surface at
-/// the offending `push`, leaving state untouched. When the pending
-/// buffer reaches `horizon` the trajectory folds through the backward
-/// recursion and collapses into the O(1) running sums; only a partial
-/// trajectory (< horizon steps) is ever retained. Weight diagnostics
-/// cover completed trajectories only, matching the batch path's
-/// whole-trajectory slice.
-pub struct OnlineSeqDr {
-    space: DecisionSpace,
-    policy: Box<dyn Policy + Send + Sync>,
-    model: Box<dyn RewardModel + Send + Sync>,
-    horizon: usize,
-    /// `(dm, w, residual)` steps of the in-flight trajectory.
-    pending: Vec<(f64, f64, f64)>,
-    /// Completed trajectories.
-    trajectories: usize,
-    contribution_sum: f64,
-    abs_residual_sum: f64,
-    acc: WeightAcc,
-    moments: StreamingMoments,
 }
 
 impl OnlineSeqDr {
@@ -1388,162 +329,11 @@ impl OnlineSeqDr {
     /// Panics if `horizon == 0`.
     pub fn new(
         space: DecisionSpace,
-        policy: Box<dyn Policy + Send + Sync>,
-        model: Box<dyn RewardModel + Send + Sync>,
+        policy: Target,
+        model: Model,
         horizon: usize,
     ) -> Result<Self, EstimatorError> {
-        assert!(horizon > 0, "horizon must be positive");
-        check_policy_space(&space, policy.as_ref())?;
-        Ok(Self {
-            space,
-            policy,
-            model,
-            horizon,
-            pending: Vec::new(),
-            trajectories: 0,
-            contribution_sum: -0.0,
-            abs_residual_sum: 0.0,
-            acc: WeightAcc::new(),
-            moments: StreamingMoments::new(),
-        })
-    }
-
-    /// The trajectory length.
-    pub fn horizon(&self) -> usize {
-        self.horizon
-    }
-
-    /// Completed trajectories so far.
-    pub fn trajectories(&self) -> usize {
-        self.trajectories
-    }
-}
-
-impl OnlineEstimator for OnlineSeqDr {
-    fn name(&self) -> &str {
-        "SeqDR"
-    }
-
-    fn push(&mut self, rec: &TraceRecord) -> Result<(), EstimatorError> {
-        let k = self.trajectories * self.horizon + self.pending.len();
-        let w = weight_at(self.policy.as_ref(), rec, k)?;
-        let probs = self.policy.probabilities(&rec.context);
-        let dm_term: f64 = self
-            .space
-            .iter()
-            .map(|d| probs[d.index()] * self.model.predict(&rec.context, d))
-            .sum();
-        let residual = rec.reward - self.model.predict(&rec.context, rec.decision);
-        self.pending.push((dm_term, w, residual));
-        if self.pending.len() == self.horizon {
-            // Fold the completed trajectory into the running sums. The
-            // accumulators mirror the batch path's record order: weights
-            // and residuals forward, then the backward value recursion.
-            for &(_, w, residual) in &self.pending {
-                self.acc.push(w);
-                self.abs_residual_sum += residual.abs();
-            }
-            let v = crate::seq::trajectory_value(&self.pending);
-            self.contribution_sum += v;
-            self.moments.push(v);
-            self.trajectories += 1;
-            self.pending.clear();
-        }
-        Ok(())
-    }
-
-    fn estimate(&self) -> Result<OnlineEstimate, EstimatorError> {
-        if self.trajectories == 0 {
-            return Err(EstimatorError::NoUsableRecords);
-        }
-        Ok(OnlineEstimate {
-            value: self.contribution_sum / self.trajectories as f64,
-            n: self.trajectories,
-            diagnostics: self.acc.diagnostics(),
-        })
-    }
-
-    fn len(&self) -> usize {
-        self.trajectories * self.horizon + self.pending.len()
-    }
-
-    fn reset(&mut self) {
-        self.pending.clear();
-        self.trajectories = 0;
-        self.contribution_sum = -0.0;
-        self.abs_residual_sum = 0.0;
-        self.acc = WeightAcc::new();
-        self.moments = StreamingMoments::new();
-    }
-
-    fn health_metrics(&self) -> Vec<(&'static str, f64)> {
-        let completed = self.trajectories * self.horizon;
-        let mut m = common_health(completed, Some(&self.acc), &self.moments);
-        if completed > 0 {
-            m.push(("horizon", self.horizon as f64));
-            m.push(("trajectories", self.trajectories as f64));
-            m.push((
-                "mean_abs_residual",
-                self.abs_residual_sum / completed as f64,
-            ));
-        }
-        m
-    }
-
-    fn state_save(&self) -> Json {
-        let mut flat = Vec::with_capacity(self.pending.len() * 3);
-        for (dm, w, residual) in &self.pending {
-            flat.push(bits(*dm));
-            flat.push(bits(*w));
-            flat.push(bits(*residual));
-        }
-        Json::Object(vec![
-            ("est".into(), Json::str(self.name())),
-            ("trajectories".into(), Json::Int(self.trajectories as i64)),
-            ("sum".into(), bits(self.contribution_sum)),
-            ("abs_residual_sum".into(), bits(self.abs_residual_sum)),
-            ("pending".into(), Json::Array(flat)),
-            ("acc".into(), self.acc.state_save()),
-            ("moments".into(), self.moments.state_save()),
-        ])
-    }
-
-    fn state_load(&mut self, state: &Json) -> Result<(), EstimatorError> {
-        check_kind(state, self.name())?;
-        let trajectories = uint(state, "trajectories")? as usize;
-        let sum = unbits(state, "sum")?;
-        let abs_residual_sum = unbits(state, "abs_residual_sum")?;
-        let flat = field(state, "pending")?
-            .as_array()
-            .ok_or_else(|| state_err("field `pending` must be an array"))?;
-        if flat.len() % 3 != 0 {
-            return Err(state_err("`pending` must hold step triples"));
-        }
-        if flat.len() / 3 >= self.horizon {
-            return Err(state_err(format!(
-                "pending trajectory holds {} steps but the horizon is {}",
-                flat.len() / 3,
-                self.horizon
-            )));
-        }
-        let decode = |v: &Json| {
-            v.as_i64()
-                .map(|b| f64::from_bits(b as u64))
-                .ok_or_else(|| state_err("`pending` entries must hold f64 bits"))
-        };
-        let mut pending = Vec::with_capacity(flat.len() / 3);
-        for step in flat.chunks(3) {
-            pending.push((decode(&step[0])?, decode(&step[1])?, decode(&step[2])?));
-        }
-        let acc = WeightAcc::state_load(field(state, "acc")?)?;
-        let moments = StreamingMoments::state_load(field(state, "moments")?)?;
-        self.trajectories = trajectories;
-        self.contribution_sum = sum;
-        self.abs_residual_sum = abs_residual_sum;
-        self.pending = pending;
-        self.acc = acc;
-        self.moments = moments;
-        Ok(())
+        Online::with(space, policy, SeqDr::new(model, horizon))
     }
 }
 
@@ -1685,8 +475,7 @@ mod tests {
 
     fn skewed_trace(n: usize, seed: u64) -> Trace {
         let s = schema();
-        let logger =
-            EpsilonSmoothedPolicy::new(Box::new(LookupPolicy::constant(space(), 0)), 0.5);
+        let logger = EpsilonSmoothedPolicy::new(Box::new(LookupPolicy::constant(space(), 0)), 0.5);
         let mut rng = Xoshiro256::seed_from(seed);
         let recs = (0..n)
             .map(|_| {
@@ -1748,15 +537,19 @@ mod tests {
         let e = online.estimate().unwrap();
         assert_eq!(e.value.to_bits(), batch.value.to_bits());
         assert_eq!(e.diagnostics, batch.diagnostics);
-        assert!(online.clip_rate() > 0.0, "weight-4 records must clip");
+        let clip_rate = online
+            .health_metrics()
+            .into_iter()
+            .find(|(k, _)| *k == "clip_rate")
+            .map(|(_, v)| v);
+        assert!(clip_rate > Some(0.0), "weight-4 records must clip");
     }
 
     #[test]
     fn dm_and_dr_replay_are_bit_identical() {
         let t = skewed_trace(300, 10);
         let batch_dm = DirectMethod::new(model()).estimate(&t, &target()).unwrap();
-        let mut online_dm =
-            OnlineDm::new(space(), Box::new(target()), Box::new(model())).unwrap();
+        let mut online_dm = OnlineDm::new(space(), Box::new(target()), Box::new(model())).unwrap();
         replay(&mut online_dm, &t);
         let e = online_dm.estimate().unwrap();
         assert_eq!(e.value.to_bits(), batch_dm.value.to_bits());
@@ -1905,8 +698,8 @@ mod tests {
             )
             .with_propensity(0.5)
         };
-        let mut full = OnlineIps::new(space(), Box::new(UniformRandomPolicy::new(space())))
-            .unwrap();
+        let mut full =
+            OnlineIps::new(space(), Box::new(UniformRandomPolicy::new(space()))).unwrap();
         let mut window = SlidingWindow::new(
             OnlineIps::new(space(), Box::new(UniformRandomPolicy::new(space()))).unwrap(),
             40,
@@ -1923,7 +716,10 @@ mod tests {
         }
         let blended = full.estimate().unwrap().value;
         let recent = window.estimate().unwrap().value;
-        assert!((recent - 2.0).abs() < 1e-12, "window sees only the new regime");
+        assert!(
+            (recent - 2.0).abs() < 1e-12,
+            "window sees only the new regime"
+        );
         assert!(blended < recent, "full stream stays blended: {blended}");
     }
 
@@ -1939,21 +735,18 @@ mod tests {
         let t = skewed_trace(300, 14);
         for mode in [AdaptiveWeights::Stabilized, AdaptiveWeights::Constant] {
             let batch = AdaptiveIps::new(mode).estimate(&t, &target()).unwrap();
-            let mut online =
-                OnlineAdaptiveIps::new(space(), Box::new(target()), mode).unwrap();
+            let mut online = OnlineAdaptiveIps::new(space(), Box::new(target()), mode).unwrap();
             replay(&mut online, &t);
             let e = online.estimate().unwrap();
             assert_eq!(e.value.to_bits(), batch.value.to_bits());
             assert_eq!(e.diagnostics, batch.diagnostics);
 
-            let batch = AdaptiveDr::new(model(), mode).estimate(&t, &target()).unwrap();
-            let mut online = OnlineAdaptiveDr::new(
-                space(),
-                Box::new(target()),
-                Box::new(model()),
-                mode,
-            )
-            .unwrap();
+            let batch = AdaptiveDr::new(model(), mode)
+                .estimate(&t, &target())
+                .unwrap();
+            let mut online =
+                OnlineAdaptiveDr::new(space(), Box::new(target()), Box::new(model()), mode)
+                    .unwrap();
             replay(&mut online, &t);
             let e = online.estimate().unwrap();
             assert_eq!(e.value.to_bits(), batch.value.to_bits());
@@ -1965,9 +758,8 @@ mod tests {
     fn marginalized_replay_is_bit_identical() {
         use crate::marginalized::{ActionEmbedding, MarginalizedDr};
         let t = skewed_trace(300, 15);
-        let logger = || {
-            EpsilonSmoothedPolicy::new(Box::new(LookupPolicy::constant(space(), 0)), 0.5)
-        };
+        let logger =
+            || EpsilonSmoothedPolicy::new(Box::new(LookupPolicy::constant(space(), 0)), 0.5);
         let emb = ActionEmbedding::identity(2);
         let batch = MarginalizedDr::new(model(), emb.clone(), Box::new(logger()))
             .estimate(&t, &target())
@@ -1991,14 +783,11 @@ mod tests {
         use crate::seq::SeqDr;
         let t = skewed_trace(300, 16);
         for horizon in [1, 5] {
-            let batch = SeqDr::new(model(), horizon).estimate(&t, &target()).unwrap();
-            let mut online = OnlineSeqDr::new(
-                space(),
-                Box::new(target()),
-                Box::new(model()),
-                horizon,
-            )
-            .unwrap();
+            let batch = SeqDr::new(model(), horizon)
+                .estimate(&t, &target())
+                .unwrap();
+            let mut online =
+                OnlineSeqDr::new(space(), Box::new(target()), Box::new(model()), horizon).unwrap();
             replay(&mut online, &t);
             let e = online.estimate().unwrap();
             assert_eq!(e.value.to_bits(), batch.value.to_bits());
@@ -2010,13 +799,8 @@ mod tests {
     #[test]
     fn seq_pending_trajectory_stays_out_of_the_estimate() {
         let t = skewed_trace(10, 17);
-        let mut online = OnlineSeqDr::new(
-            space(),
-            Box::new(target()),
-            Box::new(model()),
-            4,
-        )
-        .unwrap();
+        let mut online =
+            OnlineSeqDr::new(space(), Box::new(target()), Box::new(model()), 4).unwrap();
         for rec in &t.records()[..3] {
             online.push(rec).unwrap();
         }
@@ -2027,8 +811,7 @@ mod tests {
             Err(EstimatorError::NoUsableRecords)
         ));
         online.push(&t.records()[3]).unwrap();
-        assert_eq!(online.trajectories(), 1);
-        assert!(online.estimate().is_ok());
+        assert_eq!(online.estimate().unwrap().n, 1);
     }
 
     #[test]

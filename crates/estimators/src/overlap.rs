@@ -44,7 +44,7 @@ impl OverlapReport {
     /// Errors if the trace lacks propensities or the decision spaces
     /// disagree.
     pub fn analyze(trace: &Trace, new_policy: &dyn Policy) -> Result<Self, EstimatorError> {
-        check_space(trace, new_policy)?;
+        check_space(trace.space(), new_policy.space())?;
         let k = trace.space().len();
         let mut seen = vec![false; k];
         for r in trace.records() {

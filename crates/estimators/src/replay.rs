@@ -37,11 +37,14 @@
 //! policy μ_old is known").
 
 use crate::batch::{note_reuse, EvalBatch};
-use crate::estimate::{emit_weight_health, Estimate, EstimatorError, WeightDiagnostics};
+use crate::dr::dr_row;
+use crate::estimate::{check_space, Estimate, EstimatorError};
+use crate::kernel::{dm_term, estimate_of, Fold, Norm};
 use ddn_models::RewardModel;
 use ddn_policy::{HistoryPolicy, Policy};
 use ddn_stats::rng::Rng;
-use ddn_trace::Trace;
+use ddn_trace::{Decision, Trace};
+use std::borrow::Cow;
 
 /// Output of a replay evaluation: the estimate plus acceptance accounting.
 #[derive(Debug, Clone, PartialEq)]
@@ -99,83 +102,12 @@ impl<M: RewardModel> ReplayEvaluator<M> {
         new_policy: &mut dyn HistoryPolicy,
         rng: &mut dyn Rng,
     ) -> Result<ReplayOutcome, EstimatorError> {
-        if trace.space().len() != new_policy.space().len() {
-            return Err(EstimatorError::SpaceMismatch {
-                trace: trace.space().len(),
-                policy: new_policy.space().len(),
-            });
-        }
-        if trace.space().len() != old_policy.space().len() {
-            return Err(EstimatorError::SpaceMismatch {
-                trace: trace.space().len(),
-                policy: old_policy.space().len(),
-            });
-        }
-        new_policy.reset();
-        let space = trace.space();
-        let mut contributions = Vec::new();
-        let mut weights = Vec::new();
-        let mut rejected = 0usize;
-
-        for rec in trace.records() {
-            let probs_new = new_policy.probabilities(&rec.context);
-            // Step 1: sample d' from μ_new(· | c_k, g_k).
-            let u = rng.next_f64();
-            let mut acc = 0.0;
-            let mut sampled = probs_new.len() - 1;
-            for (i, &p) in probs_new.iter().enumerate() {
-                acc += p;
-                if u < acc {
-                    sampled = i;
-                    break;
-                }
-            }
-            // Step 2/3: accept iff the sampled decision matches the log.
-            if sampled != rec.decision.index() {
-                rejected += 1;
-                continue;
-            }
-            let probs_old = old_policy.probabilities(&rec.context);
-            let p_old = probs_old[rec.decision.index()];
-            if p_old <= 0.0 {
-                // The old policy claims it could never have logged this
-                // decision — inconsistent inputs; skip defensively.
-                rejected += 1;
-                continue;
-            }
-            // Effective acceptance-conditioned propensity: q(d) = p_old·p_new/Z.
-            let z: f64 = probs_old.iter().zip(&probs_new).map(|(a, b)| a * b).sum();
-            let w = z / p_old;
-            let dm_term: f64 = space
-                .iter()
-                .map(|d| probs_new[d.index()] * self.model.predict(&rec.context, d))
-                .sum();
-            let residual = rec.reward - self.model.predict(&rec.context, rec.decision);
-            contributions.push(dm_term + w * residual);
-            weights.push(w);
-            new_policy.observe(&rec.context, rec.decision, rec.reward);
-        }
-
-        if contributions.is_empty() {
-            return Err(EstimatorError::NoUsableRecords);
-        }
-        let diagnostics = WeightDiagnostics::from_weights(&weights);
-        let accepted = contributions.len();
-        let outcome = ReplayOutcome {
-            estimate: Estimate::from_contributions(contributions, diagnostics),
-            accepted,
-            rejected,
-        };
-        emit_weight_health(
-            "Replay",
-            &diagnostics,
-            &[
-                ("acceptance_rate", outcome.acceptance_rate()),
-                ("accepted", accepted as f64),
-                ("rejected", rejected as f64),
-            ],
-        );
-        Ok(outcome)
+        check_space(trace.space(), new_policy.space())?;
+        check_space(trace.space(), old_policy.space())?;
+        let records = trace.records();
+        let old_row = |i: usize| Cow::Owned(old_policy.probabilities(&records[i].context));
+        let q = |i: usize, d: Decision| self.model.predict(&records[i].context, d);
+        self.replay(trace, new_policy, rng, old_row, q)
     }
 
     /// Batched counterpart of [`ReplayEvaluator::evaluate`]: `old_batch`
@@ -193,22 +125,46 @@ impl<M: RewardModel> ReplayEvaluator<M> {
         new_policy: &mut dyn HistoryPolicy,
         rng: &mut dyn Rng,
     ) -> Result<ReplayOutcome, EstimatorError> {
-        if trace.space().len() != new_policy.space().len() {
-            return Err(EstimatorError::SpaceMismatch {
-                trace: trace.space().len(),
-                policy: new_policy.space().len(),
-            });
-        }
+        check_space(trace.space(), new_policy.space())?;
         old_batch.check_trace(trace);
-        new_policy.reset();
-        let space = trace.space();
+        let records = trace.records();
         let scores = old_batch.model_scores();
+        let old_row = |i: usize| Cow::Borrowed(old_batch.probs_row(i));
+        // The cached q row is the old-policy batch's, but q̂ depends only
+        // on (context, decision), not on which policy the batch was built
+        // for.
+        let q = |i: usize, d: Decision| match scores {
+            Some(s) => s.q_row(i, trace.space().len())[d.index()],
+            None => self.model.predict(&records[i].context, d),
+        };
+        let outcome = self.replay(trace, new_policy, rng, old_row, q);
+        let scored = 2 * outcome.as_ref().map_or(0, |o| o.accepted) as u64;
+        let n = trace.len() as u64;
+        match scores {
+            Some(_) => note_reuse("Replay", n + scored, 0),
+            None => note_reuse("Replay", n, scored),
+        }
+        outcome
+    }
+
+    /// The §4.2 loop over old-policy rows `old_row(i)` and model scores
+    /// `q(i, d)`.
+    fn replay<'a>(
+        &self,
+        trace: &Trace,
+        new_policy: &mut dyn HistoryPolicy,
+        rng: &mut dyn Rng,
+        old_row: impl Fn(usize) -> Cow<'a, [f64]>,
+        q: impl Fn(usize, Decision) -> f64,
+    ) -> Result<ReplayOutcome, EstimatorError> {
+        new_policy.reset();
+        let mut fold = Fold::new();
         let mut contributions = Vec::new();
-        let mut weights = Vec::new();
         let mut rejected = 0usize;
 
         for (i, rec) in trace.records().iter().enumerate() {
             let probs_new = new_policy.probabilities(&rec.context);
+            // Step 1: sample d' from μ_new(· | c_k, g_k).
             let u = rng.next_f64();
             let mut acc = 0.0;
             let mut sampled = probs_new.len() - 1;
@@ -219,69 +175,39 @@ impl<M: RewardModel> ReplayEvaluator<M> {
                     break;
                 }
             }
+            // Step 2/3: accept iff the sampled decision matches the log.
             if sampled != rec.decision.index() {
                 rejected += 1;
                 continue;
             }
-            let probs_old = old_batch.probs_row(i);
+            let probs_old = old_row(i);
             let p_old = probs_old[rec.decision.index()];
             if p_old <= 0.0 {
+                // The old policy claims it could never have logged this
+                // decision — inconsistent inputs; skip defensively.
                 rejected += 1;
                 continue;
             }
+            // Effective acceptance-conditioned propensity: q(d) = p_old·p_new/Z.
             let z: f64 = probs_old.iter().zip(&probs_new).map(|(a, b)| a * b).sum();
-            let w = z / p_old;
-            let (dm_term, q_logged) = match scores {
-                Some(s) => {
-                    // The cached q row is the old-policy batch's, but q̂
-                    // depends only on (context, decision), not on which
-                    // policy the batch was built for.
-                    let q = s.q_row(i, space.len());
-                    let dm: f64 = space
-                        .iter()
-                        .map(|d| probs_new[d.index()] * q[d.index()])
-                        .sum();
-                    (dm, s.q_logged()[i])
-                }
-                None => {
-                    let dm: f64 = space
-                        .iter()
-                        .map(|d| probs_new[d.index()] * self.model.predict(&rec.context, d))
-                        .sum();
-                    (dm, self.model.predict(&rec.context, rec.decision))
-                }
-            };
-            let residual = rec.reward - q_logged;
-            contributions.push(dm_term + w * residual);
-            weights.push(w);
+            let dm = dm_term(&probs_new, |d| q(i, d));
+            let row = dr_row(z / p_old, dm, rec.reward, q(i, rec.decision));
+            contributions.push(fold.fold_unit(&[row], row.gamma, Norm::Count));
             new_policy.observe(&rec.context, rec.decision, rec.reward);
         }
 
-        if contributions.is_empty() {
-            note_reuse("Replay", trace.len() as u64, 0);
-            return Err(EstimatorError::NoUsableRecords);
-        }
-        let accepted = contributions.len();
-        match scores {
-            Some(_) => note_reuse("Replay", (trace.len() + 2 * accepted) as u64, 0),
-            None => note_reuse("Replay", trace.len() as u64, 2 * accepted as u64),
-        }
-        let diagnostics = WeightDiagnostics::from_weights(&weights);
-        let outcome = ReplayOutcome {
-            estimate: Estimate::from_contributions(contributions, diagnostics),
+        let accepted = fold.n;
+        let total = (accepted + rejected) as f64;
+        let extras = [
+            ("acceptance_rate", accepted as f64 / total),
+            ("accepted", accepted as f64),
+            ("rejected", rejected as f64),
+        ];
+        Ok(ReplayOutcome {
+            estimate: estimate_of("Replay", Norm::Count, &fold, contributions, &extras)?,
             accepted,
             rejected,
-        };
-        emit_weight_health(
-            "Replay",
-            &diagnostics,
-            &[
-                ("acceptance_rate", outcome.acceptance_rate()),
-                ("accepted", accepted as f64),
-                ("rejected", rejected as f64),
-            ],
-        );
-        Ok(outcome)
+        })
     }
 }
 

@@ -19,32 +19,28 @@
 //! so step `t`'s weight multiplies only the *tail* value, never the full
 //! product, and the model term `dm_t` re-anchors the recursion at every
 //! step. Each trajectory contributes one number `V̂_1`; the estimate is
-//! their mean.
+//! their mean. Records of an unfinished trailing trajectory are ignored.
 //!
 //! [`SeqDr`] consumes flat traces that are concatenations of fixed-length
 //! trajectories in stream order (how [`ddn-abr`'s] `log_session` emits
 //! them). At `horizon = 1` the recursion's innermost expression is
-//! exactly the single-step DR contribution — `dm + w·(r − q̂)`, with the
-//! residual formed directly rather than via `(r − q̂) + 0.0` so signed
-//! zeros survive — making the reduction to [`crate::DoublyRobust`]
-//! **bit-identical**, pinned by the reduction property tests.
+//! the single-step DR row itself — `dm + w·(r − q̂)`, not
+//! `dm + w·((r − q̂) + 0.0)`, so signed zeros survive — making the
+//! reduction to [`crate::DoublyRobust`] **bit-identical**, pinned by the
+//! reduction property tests.
 //!
 //! [`ddn-abr`'s]: ../../ddn_abr/index.html
 
-use crate::batch::{note_reuse, BatchEstimator, EvalBatch};
-use crate::estimate::{
-    check_space, emit_weight_health, Estimate, Estimator, EstimatorError, WeightDiagnostics,
-};
-use crate::ips::importance_weights;
+use crate::dr::DoublyRobust;
+use crate::estimate::EstimatorError;
+use crate::kernel::{Fold, Kernel, Row, Source};
 use ddn_models::RewardModel;
-use ddn_policy::Policy;
-use ddn_trace::Trace;
 
 /// Per-decision sequential DR over fixed-horizon trajectories — see the
 /// module docs for the recursion.
 #[derive(Debug, Clone)]
 pub struct SeqDr<M: RewardModel> {
-    model: M,
+    dr: DoublyRobust<M>,
     horizon: usize,
 }
 
@@ -56,12 +52,15 @@ impl<M: RewardModel> SeqDr<M> {
     /// Panics if `horizon == 0`.
     pub fn new(model: M, horizon: usize) -> Self {
         assert!(horizon > 0, "horizon must be positive");
-        Self { model, horizon }
+        Self {
+            dr: DoublyRobust::new(model),
+            horizon,
+        }
     }
 
     /// The underlying reward model.
     pub fn model(&self) -> &M {
-        &self.model
+        self.dr.model()
     }
 
     /// The trajectory length.
@@ -70,141 +69,43 @@ impl<M: RewardModel> SeqDr<M> {
     }
 }
 
-/// Folds one trajectory's per-step `(dm, w, residual)` triples through
-/// the backward per-decision recursion. The last step computes
-/// `dm + w·residual` directly (no `+ 0.0` tail) so `horizon = 1` is the
-/// exact single-step DR expression.
-pub(crate) fn trajectory_value(steps: &[(f64, f64, f64)]) -> f64 {
-    let (dm_last, w_last, res_last) = steps[steps.len() - 1];
-    let mut v = dm_last + w_last * res_last;
-    for &(dm, w, residual) in steps[..steps.len() - 1].iter().rev() {
-        v = dm + w * (residual + v);
-    }
-    v
-}
+impl<M: RewardModel> Kernel for SeqDr<M> {
+    const NAME: &'static str = "SeqDR";
 
-/// Folds per-record `(dm, w, residual)` triples — `used` of them, a
-/// whole number of trajectories — into per-trajectory contributions.
-fn per_trajectory(steps: &[(f64, f64, f64)], horizon: usize) -> Vec<f64> {
-    steps.chunks(horizon).map(trajectory_value).collect()
-}
-
-impl<M: RewardModel> Estimator for SeqDr<M> {
-    fn name(&self) -> &str {
-        "SeqDR"
+    fn horizon(&self) -> usize {
+        self.horizon
     }
 
-    fn estimate(&self, trace: &Trace, new_policy: &dyn Policy) -> Result<Estimate, EstimatorError> {
-        check_space(trace, new_policy)?;
-        let weights = importance_weights(trace, new_policy)?;
-        let trajectories = trace.len() / self.horizon;
-        if trajectories == 0 {
-            return Err(EstimatorError::NoUsableRecords);
-        }
-        let used = trajectories * self.horizon;
-        let space = trace.space();
-        let mut abs_residual_sum = 0.0;
-        let steps: Vec<(f64, f64, f64)> = trace.records()[..used]
-            .iter()
-            .zip(&weights[..used])
-            .map(|(rec, &w)| {
-                let probs = new_policy.probabilities(&rec.context);
-                let dm_term: f64 = space
-                    .iter()
-                    .map(|d| probs[d.index()] * self.model.predict(&rec.context, d))
-                    .sum();
-                let residual = rec.reward - self.model.predict(&rec.context, rec.decision);
-                abs_residual_sum += residual.abs();
-                (dm_term, w, residual)
-            })
-            .collect();
-        let per_record = per_trajectory(&steps, self.horizon);
-        let diagnostics = WeightDiagnostics::from_weights(&weights[..used]);
-        emit_weight_health(
-            self.name(),
-            &diagnostics,
-            &[
-                ("horizon", self.horizon as f64),
-                ("trajectories", trajectories as f64),
-                ("mean_abs_residual", abs_residual_sum / used as f64),
-            ],
-        );
-        Ok(Estimate::from_contributions(per_record, diagnostics))
+    #[inline]
+    fn row<S: Source>(&self, s: &S) -> Result<Option<Row>, EstimatorError> {
+        self.dr.row(s)
     }
-}
 
-impl<M: RewardModel> BatchEstimator for SeqDr<M> {
-    fn estimate_batch(
-        &self,
-        trace: &Trace,
-        batch: &EvalBatch,
-    ) -> Result<Estimate, EstimatorError> {
-        batch.check_trace(trace);
-        let weights = batch.weights()?;
-        let trajectories = trace.len() / self.horizon;
-        if trajectories == 0 {
-            return Err(EstimatorError::NoUsableRecords);
-        }
-        let used = trajectories * self.horizon;
-        let n = trace.len();
-        let mut abs_residual_sum = 0.0;
-        let steps: Vec<(f64, f64, f64)> = match batch.model_scores() {
-            Some(scores) => {
-                note_reuse(self.name(), 3 * n as u64, 0);
-                scores.dm_terms()[..used]
-                    .iter()
-                    .zip(&scores.q_logged()[..used])
-                    .zip(&batch.rewards()[..used])
-                    .zip(&weights[..used])
-                    .map(|(((dm_term, q_logged), r), &w)| {
-                        let residual = r - q_logged;
-                        abs_residual_sum += residual.abs();
-                        (*dm_term, w, residual)
-                    })
-                    .collect()
-            }
-            None => {
-                note_reuse(self.name(), 2 * n as u64, n as u64);
-                let space = trace.space();
-                trace.records()[..used]
-                    .iter()
-                    .enumerate()
-                    .zip(&weights[..used])
-                    .map(|((i, rec), &w)| {
-                        let probs = batch.probs_row(i);
-                        let dm_term: f64 = space
-                            .iter()
-                            .map(|d| probs[d.index()] * self.model.predict(&rec.context, d))
-                            .sum();
-                        let residual =
-                            rec.reward - self.model.predict(&rec.context, rec.decision);
-                        abs_residual_sum += residual.abs();
-                        (dm_term, w, residual)
-                    })
-                    .collect()
-            }
-        };
-        let per_record = per_trajectory(&steps, self.horizon);
-        let diagnostics = WeightDiagnostics::from_weights(&weights[..used]);
-        emit_weight_health(
-            self.name(),
-            &diagnostics,
-            &[
-                ("horizon", self.horizon as f64),
-                ("trajectories", trajectories as f64),
-                ("mean_abs_residual", abs_residual_sum / used as f64),
-            ],
-        );
-        Ok(Estimate::from_contributions(per_record, diagnostics))
+    /// The backward per-decision recursion, seeded with the last step's
+    /// DR row — so `horizon = 1` is exactly the single-step DR value.
+    fn finish(&self, steps: &[Row]) -> f64 {
+        let (last, rest) = steps.split_last().expect("a trajectory has steps");
+        rest.iter()
+            .rev()
+            .fold(last.gamma, |v, s| s.dm + s.w * (s.residual + v))
+    }
+
+    fn extras(&self, fold: &Fold) -> Vec<(&'static str, f64)> {
+        vec![
+            ("horizon", self.horizon as f64),
+            ("trajectories", fold.n as f64),
+            ("mean_abs_residual", fold.mean_abs_residual()),
+        ]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dr::DoublyRobust;
+    use crate::batch::{BatchEstimator, EvalBatch};
+    use crate::Estimator;
     use ddn_models::ConstantModel;
-    use ddn_policy::{EpsilonSmoothedPolicy, LookupPolicy};
+    use ddn_policy::{EpsilonSmoothedPolicy, LookupPolicy, Policy};
     use ddn_stats::rng::{Rng, Xoshiro256};
     use ddn_trace::{Context, ContextSchema, DecisionSpace, Trace, TraceRecord};
 
@@ -222,8 +123,7 @@ mod tests {
 
     fn session_trace(trajectories: usize, horizon: usize, seed: u64) -> Trace {
         let s = schema();
-        let logger =
-            EpsilonSmoothedPolicy::new(Box::new(LookupPolicy::constant(space(), 0)), 0.5);
+        let logger = EpsilonSmoothedPolicy::new(Box::new(LookupPolicy::constant(space(), 0)), 0.5);
         let mut rng = Xoshiro256::seed_from(seed);
         let mut recs = Vec::new();
         for _ in 0..trajectories {
@@ -231,9 +131,7 @@ mod tests {
                 let g = rng.index(2) as u32;
                 let c = Context::build(&s).set_cat("g", g).finish();
                 let (d, p) = logger.sample_with_prob(&c, &mut rng);
-                recs.push(
-                    TraceRecord::new(c, d, truth(g, d.index())).with_propensity(p),
-                );
+                recs.push(TraceRecord::new(c, d, truth(g, d.index())).with_propensity(p));
             }
         }
         Trace::from_records(s, space(), recs).unwrap()
@@ -306,12 +204,10 @@ mod tests {
         let newp = EpsilonSmoothedPolicy::new(Box::new(LookupPolicy::constant(space(), 1)), 0.5);
         let horizon = 6;
         let trajectory_level = |t: &Trace| -> f64 {
-            let w = importance_weights(t, &newp).unwrap();
+            let batch = EvalBatch::build(t, &newp).unwrap();
+            let w = batch.weights().unwrap();
             let mut vals = Vec::new();
-            for (chunk_w, chunk_r) in w
-                .chunks(horizon)
-                .zip(t.records().chunks(horizon))
-            {
+            for (chunk_w, chunk_r) in w.chunks(horizon).zip(t.records().chunks(horizon)) {
                 let prod: f64 = chunk_w.iter().product();
                 let total: f64 = chunk_r.iter().map(|r| r.reward).sum();
                 vals.push(prod * total);

@@ -17,11 +17,10 @@
 //!    record contributes like a matched one but through the adjusted
 //!    reward.
 
-use crate::batch::{note_reuse, EvalBatch};
-use crate::estimate::{check_space, emit_weight_health, Estimate, EstimatorError, WeightDiagnostics};
-use crate::ips::importance_weights;
+use crate::dr::dr_row;
+use crate::estimate::EstimatorError;
+use crate::kernel::{Fold, Kernel, Row, Source};
 use ddn_models::RewardModel;
-use ddn_policy::Policy;
 use ddn_trace::{StateTag, Trace};
 
 /// Maps a reward observed in one system state into an equivalent reward in
@@ -153,107 +152,37 @@ impl<M: RewardModel, T: TransitionModel> StateAwareDr<M, T> {
     pub fn target(&self) -> StateTag {
         self.target
     }
+}
 
-    /// Estimates `V(new_policy)` in the target state.
-    ///
-    /// Every usable record's observed reward — and its model prediction's
-    /// residual baseline — is transported into the target state before the
-    /// standard DR combination. Errors with
-    /// [`EstimatorError::NoUsableRecords`] when nothing is transportable.
-    pub fn estimate(
-        &self,
-        trace: &Trace,
-        new_policy: &dyn Policy,
-    ) -> Result<Estimate, EstimatorError> {
-        check_space(trace, new_policy)?;
-        let weights = importance_weights(trace, new_policy)?;
-        let space = trace.space();
-        let mut contributions = Vec::new();
-        let mut used_weights = Vec::new();
-        for (rec, &w) in trace.records().iter().zip(&weights) {
-            let Some(from) = rec.state else { continue };
-            let Some(reward) = self.transition.transport(rec.reward, from, self.target) else {
-                continue;
-            };
-            let probs = new_policy.probabilities(&rec.context);
-            let dm_term: f64 = space
-                .iter()
-                .map(|d| probs[d.index()] * self.model.predict(&rec.context, d))
-                .sum();
-            let residual = reward - self.model.predict(&rec.context, rec.decision);
-            contributions.push(dm_term + w * residual);
-            used_weights.push(w);
-        }
-        if contributions.is_empty() {
-            return Err(EstimatorError::NoUsableRecords);
-        }
-        let diagnostics = WeightDiagnostics::from_weights(&used_weights);
-        emit_weight_health(
-            "StateAwareDR",
-            &diagnostics,
-            &[
-                ("coverage", contributions.len() as f64 / trace.len() as f64),
-                ("match_count", contributions.len() as f64),
-            ],
-        );
-        Ok(Estimate::from_contributions(contributions, diagnostics))
+/// Every usable record's observed reward — and its model prediction's
+/// residual baseline — is transported into the target state before the
+/// standard DR combination. The estimate errors with
+/// [`EstimatorError::NoUsableRecords`] when nothing is transportable.
+impl<M: RewardModel, T: TransitionModel> Kernel for StateAwareDr<M, T> {
+    const NAME: &'static str = "StateAwareDR";
+
+    fn row<S: Source>(&self, s: &S) -> Result<Option<Row>, EstimatorError> {
+        let w = s.weight()?;
+        let rec = s.record();
+        let Some(from) = rec.state else {
+            return Ok(None);
+        };
+        let Some(reward) = self.transition.transport(rec.reward, from, self.target) else {
+            return Ok(None);
+        };
+        Ok(Some(dr_row(
+            w,
+            s.dm_term(&self.model),
+            reward,
+            s.q_logged(&self.model),
+        )))
     }
 
-    /// Batched counterpart of [`StateAwareDr::estimate`]: state tags,
-    /// rewards, importance weights and — when the batch carries this
-    /// estimator's model — DM terms and logged-decision predictions all
-    /// come from the shared batch. Bit-identical to the unbatched path.
-    pub fn estimate_batch(
-        &self,
-        trace: &Trace,
-        batch: &EvalBatch,
-    ) -> Result<Estimate, EstimatorError> {
-        batch.check_trace(trace);
-        let weights = batch.weights()?;
-        let n = trace.len();
-        let space = trace.space();
-        let scores = batch.model_scores();
-        match scores {
-            Some(_) => note_reuse("StateAwareDR", 3 * n as u64, 0),
-            None => note_reuse("StateAwareDR", 2 * n as u64, n as u64),
-        }
-        let mut contributions = Vec::new();
-        let mut used_weights = Vec::new();
-        for (i, (&w, &state)) in weights.iter().zip(batch.states()).enumerate() {
-            let Some(from) = state else { continue };
-            let reward = batch.rewards()[i];
-            let Some(reward) = self.transition.transport(reward, from, self.target) else {
-                continue;
-            };
-            let (dm_term, q_logged) = match scores {
-                Some(s) => (s.dm_terms()[i], s.q_logged()[i]),
-                None => {
-                    let rec = &trace.records()[i];
-                    let probs = batch.probs_row(i);
-                    let dm: f64 = space
-                        .iter()
-                        .map(|d| probs[d.index()] * self.model.predict(&rec.context, d))
-                        .sum();
-                    (dm, self.model.predict(&rec.context, rec.decision))
-                }
-            };
-            let residual = reward - q_logged;
-            contributions.push(dm_term + w * residual);
-            used_weights.push(w);
-        }
-        if contributions.is_empty() {
-            return Err(EstimatorError::NoUsableRecords);
-        }
-        let diagnostics = WeightDiagnostics::from_weights(&used_weights);
-        emit_weight_health(
-            "StateAwareDR",
-            &diagnostics,
-            &[
-                ("coverage", contributions.len() as f64 / trace.len() as f64),
-                ("match_count", contributions.len() as f64),
-            ],
-        );
-        Ok(Estimate::from_contributions(contributions, diagnostics))
+    fn extras(&self, fold: &Fold) -> Vec<(&'static str, f64)> {
+        vec![
+            ("coverage", fold.n as f64 / fold.seen as f64),
+            ("match_count", fold.n as f64),
+        ]
     }
 }
 

@@ -270,6 +270,45 @@ prop! {
                 "{} state changed by a refused load", name_b
             );
         }
+        // A SNIPS state from before the running-sum form: it kept every
+        // (w, r) pair and no sums. No shim reads it.
+        let legacy = Json::parse(
+            r#"{"est":"SNIPS","pairs":[4611686018427387904,4609434218613702656],
+                "acc":{"n":1,"sum":4611686018427387904,"sum_sq":4616189618054758400,
+                       "zeros":0,"max":4611686018427387904},
+                "moments":{"n":1,"mean":4613937818241073152,"m2":0,
+                           "min":4613937818241073152,"max":4613937818241073152}}"#,
+        )
+        .expect("legacy state JSON parses");
+        let mut victim = OnlineSnips::new(space(), policy()).unwrap();
+        push_all(&mut victim, &recs[..n / 2]);
+        let before = victim.state_save().to_string();
+        prop_assert!(
+            matches!(victim.state_load(&legacy), Err(EstimatorError::State(_))),
+            "snips accepted a pre-change pairs state"
+        );
+        prop_assert!(
+            victim.state_save().to_string() == before,
+            "snips state changed by a refused legacy load"
+        );
+    }
+}
+
+/// Every online estimator's state is O(1) in the records it has seen:
+/// the saved text stays under 4 KiB after 100 records and after 10,000.
+#[test]
+fn saved_state_stays_bounded() {
+    let recs = edge_records(10_000, 7);
+    for (name, fresh) in menu() {
+        let mut est = fresh();
+        for (from, upto) in [(0, 100), (100, 10_000)] {
+            push_all(est.as_mut(), &recs[from..upto]);
+            let bytes = est.state_save().to_string().len();
+            assert!(
+                bytes < 4096,
+                "{name}: state is {bytes} bytes after {upto} records"
+            );
+        }
     }
 }
 

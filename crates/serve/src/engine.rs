@@ -382,34 +382,10 @@ impl Session {
         })
     }
 
-    /// Validates and ingests a batch. On error, records before the
-    /// offending one stay ingested and the error names the batch
-    /// position; the session remains usable.
-    pub fn ingest(&mut self, records: &[TraceRecord]) -> Result<usize, String> {
-        for (i, rec) in records.iter().enumerate() {
-            let k = self.accepted;
-            Trace::validate_record(k, rec, &self.schema, &self.space, &mut self.last_ts)
-                .map_err(|e| format!("batch record {i}: {e}"))?;
-            if self.needs_propensity && rec.propensity.is_none() {
-                return Err(format!(
-                    "batch record {i}: logging propensity required by the session's estimators"
-                ));
-            }
-            for (name, entry) in &mut self.bank {
-                entry
-                    .push(rec)
-                    .map_err(|e| format!("batch record {i}: {name}: {e}"))?;
-            }
-            self.coupling.push(rec.reward);
-            self.accepted += 1;
-        }
-        Ok(records.len())
-    }
-
     /// Validates-then-applies a batch atomically: either every record is
-    /// ingested or none is. This is the sequenced-ingest semantics — an
-    /// acknowledgement must mean "the whole batch counted once", or a
-    /// replay after a partial failure would double-ingest the prefix.
+    /// ingested or none is. An acknowledgement must mean "the whole batch
+    /// counted once", or a replay after a partial failure would
+    /// double-ingest the prefix.
     pub fn ingest_atomic(&mut self, records: &[TraceRecord]) -> Result<usize, String> {
         // Dry-run validation against a scratch timestamp so a reject
         // leaves the session untouched.
@@ -575,13 +551,12 @@ impl Engine {
     /// (from this batch) and `total` so the caller can account
     /// throughput.
     ///
-    /// With `seq` set, the batch is sequenced: applied atomically and
-    /// exactly once. The expected sequence advances the session; a replay
-    /// of the last-acknowledged sequence returns the stored
-    /// acknowledgement tagged `"duplicate":true` without touching state;
-    /// anything else (a gap, or a stale sequence an older retry might
-    /// still carry) is an error. Without `seq`, legacy prefix semantics
-    /// apply.
+    /// Every batch is sequenced: applied atomically and exactly once. An
+    /// absent `seq` means the session's next sequence. The expected
+    /// sequence advances the session; a replay of the last-acknowledged
+    /// sequence returns the stored acknowledgement tagged
+    /// `"duplicate":true` without touching state; anything else (a gap,
+    /// or a stale sequence an older retry might still carry) is an error.
     pub fn handle_ingest(
         &mut self,
         session: &str,
@@ -591,15 +566,7 @@ impl Engine {
         let Some(s) = self.sessions.get_mut(session) else {
             return crate::protocol::error_response(&format!("unknown session {session:?}"));
         };
-        let Some(seq) = seq else {
-            return match s.ingest(records) {
-                Ok(n) => ok_response(vec![
-                    ("accepted", Json::Int(n as i64)),
-                    ("total", Json::Int(s.accepted() as i64)),
-                ]),
-                Err(e) => crate::protocol::error_response(&e),
-            };
-        };
+        let seq = seq.unwrap_or(s.next_seq);
         if seq == s.next_seq {
             let resp = match s.ingest_atomic(records) {
                 Ok(n) => ok_response(vec![
@@ -849,21 +816,6 @@ mod tests {
     }
 
     #[test]
-    fn ingest_errors_isolate_the_bad_record() {
-        let mut engine = Engine::new();
-        engine.handle_init(init_spec(r#","estimators":["ips"]"#));
-        let mut recs = records(5, 1);
-        recs[3].propensity = None;
-        let resp = engine.handle_ingest("s", &recs, None);
-        assert_eq!(resp.get("ok"), Some(&Json::Bool(false)));
-        let msg = resp.get("error").and_then(Json::as_str).unwrap();
-        assert!(msg.contains("batch record 3"), "{msg}");
-        // The three good records before it are in; the session still works.
-        let est = engine.handle_estimate("s");
-        assert_eq!(est.get("n").and_then(Json::as_i64), Some(3));
-    }
-
-    #[test]
     fn sequenced_replay_is_deduplicated() {
         let mut engine = Engine::new();
         engine.handle_init(init_spec(r#","estimators":["ips"]"#));
@@ -908,8 +860,8 @@ mod tests {
         recs[3].propensity = None;
         let resp = engine.handle_ingest("s", &recs, Some(0));
         assert_eq!(resp.get("ok"), Some(&Json::Bool(false)));
-        // Unlike the legacy prefix semantics, nothing lands: an ack (even
-        // a negative one) must describe the whole batch.
+        // Nothing lands: an ack (even a negative one) must describe the
+        // whole batch.
         let est = engine.handle_estimate("s");
         assert_eq!(est.get("n").and_then(Json::as_i64), Some(0));
         // The rejection is itself replayable with the same verdict.
@@ -921,6 +873,13 @@ mod tests {
         let ok = engine.handle_ingest("s", &recs, Some(1));
         assert_eq!(ok.get("ok"), Some(&Json::Bool(true)), "{ok:?}");
         assert_eq!(ok.get("total").and_then(Json::as_i64), Some(5));
+        // An unsequenced batch takes the next sequence, with the same
+        // all-or-nothing verdict: one bad record lands nothing.
+        recs[3].propensity = None;
+        let resp = engine.handle_ingest("s", &recs, None);
+        assert_eq!(resp.get("ok"), Some(&Json::Bool(false)));
+        let est = engine.handle_estimate("s");
+        assert_eq!(est.get("n").and_then(Json::as_i64), Some(5));
     }
 
     #[test]

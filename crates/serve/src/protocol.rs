@@ -41,12 +41,12 @@
 //! also returns (and, with durability on, dumps to disk) every shard's
 //! flight-recorder ring. See DESIGN.md §13.
 //!
-//! `Q` is an optional per-session batch sequence number starting at 0.
-//! A sequenced batch is applied atomically and exactly once: replaying
-//! the last-acknowledged sequence returns the stored acknowledgement
-//! (tagged `"duplicate":true`) without re-ingesting, which is what makes
-//! client retries safe. Unsequenced ingests keep the legacy prefix
-//! semantics (records before a bad one stay ingested). See DESIGN.md §11.
+//! `Q` is an optional per-session batch sequence number starting at 0;
+//! an absent `Q` means the session's next one. Every batch is applied
+//! atomically and exactly once: replaying the last-acknowledged sequence
+//! returns the stored acknowledgement (tagged `"duplicate":true`) without
+//! re-ingesting, which is what makes client retries safe. See DESIGN.md
+//! §11.
 //!
 //! Every response is `{"ok":true,...}` or `{"ok":false,"error":MSG}`.
 //! A malformed line never kills the connection: the server answers with

@@ -126,21 +126,27 @@ if [[ "${1:-}" == "ci" ]]; then
   done
   test -s "$port_file" || { echo "FAIL: server never wrote its port" >&2; exit 1; }
   addr="$(cat "$port_file")"
-  replay_out="$(./target/release/ddn replay-to "$serve_trace" \
-    --addr "$addr" --decision cdn1/br2 --estimator ips --shutdown)"
-  offline_out="$(./target/release/ddn evaluate "$serve_trace" \
-    --decision cdn1/br2 --estimator ips)"
+  # IPS and SNIPS (a ratio of running sums) each stream into their own
+  # session; the last replay shuts the server down.
+  for est in ips snips; do
+    shutdown=""
+    [[ "$est" == snips ]] && shutdown="--shutdown"
+    replay_out="$(./target/release/ddn replay-to "$serve_trace" --addr "$addr" \
+      --decision cdn1/br2 --estimator "$est" --session "json-$est" $shutdown)"
+    offline_out="$(./target/release/ddn evaluate "$serve_trace" \
+      --decision cdn1/br2 --estimator "$est")"
+    online_line="$(printf '%s\n' "$replay_out" | grep '^estimate:')"
+    offline_line="$(printf '%s\n' "$offline_out" | grep '^estimate:')"
+    if [[ "$online_line" != "$offline_line" ]]; then
+      echo "FAIL: streamed $est estimate differs from offline evaluate" >&2
+      echo "  online:  $online_line" >&2
+      echo "  offline: $offline_line" >&2
+      exit 1
+    fi
+    printf '%s\n' "$replay_out" | grep -q 'streamed 300 records'
+  done
   # The shutdown verb must stop the server cleanly (exit 0, no kill).
   wait "$serve_pid"
-  online_line="$(printf '%s\n' "$replay_out" | grep '^estimate:')"
-  offline_line="$(printf '%s\n' "$offline_out" | grep '^estimate:')"
-  if [[ "$online_line" != "$offline_line" ]]; then
-    echo "FAIL: streamed estimate differs from offline evaluate" >&2
-    echo "  online:  $online_line" >&2
-    echo "  offline: $offline_line" >&2
-    exit 1
-  fi
-  printf '%s\n' "$replay_out" | grep -q 'streamed 300 records'
   printf '%s\n' "$replay_out" | grep -q 'server shutdown requested'
   echo "== ci: binary-protocol smoke (binary replay-to == offline evaluate) =="
   # The same bit-identity contract over the binary columnar batch frame
@@ -155,17 +161,24 @@ if [[ "${1:-}" == "ci" ]]; then
   done
   test -s "$port_file" || { echo "FAIL: binary-smoke server never wrote its port" >&2; exit 1; }
   addr="$(cat "$port_file")"
-  binary_out="$(./target/release/ddn replay-to "$serve_trace" \
-    --addr "$addr" --decision cdn1/br2 --estimator ips --binary --shutdown)"
+  for est in ips snips; do
+    shutdown=""
+    [[ "$est" == snips ]] && shutdown="--shutdown"
+    binary_out="$(./target/release/ddn replay-to "$serve_trace" --addr "$addr" \
+      --decision cdn1/br2 --estimator "$est" --session "binary-$est" --binary $shutdown)"
+    offline_out="$(./target/release/ddn evaluate "$serve_trace" \
+      --decision cdn1/br2 --estimator "$est")"
+    binary_line="$(printf '%s\n' "$binary_out" | grep '^estimate:')"
+    offline_line="$(printf '%s\n' "$offline_out" | grep '^estimate:')"
+    if [[ "$binary_line" != "$offline_line" ]]; then
+      echo "FAIL: binary-frame $est estimate differs from offline evaluate" >&2
+      echo "  binary:  $binary_line" >&2
+      echo "  offline: $offline_line" >&2
+      exit 1
+    fi
+    printf '%s\n' "$binary_out" | grep -q 'streamed 300 records over binary frames'
+  done
   wait "$serve_pid"
-  binary_line="$(printf '%s\n' "$binary_out" | grep '^estimate:')"
-  if [[ "$binary_line" != "$offline_line" ]]; then
-    echo "FAIL: binary-frame estimate differs from offline evaluate" >&2
-    echo "  binary:  $binary_line" >&2
-    echo "  offline: $offline_line" >&2
-    exit 1
-  fi
-  printf '%s\n' "$binary_out" | grep -q 'streamed 300 records over binary frames'
   echo "== ci: crash-resume smoke (kill -9, restart, identical estimate) =="
   # The durability contract at the user-facing surface (DESIGN.md §12):
   # stream a trace into a WAL-backed server, query the estimate, kill the
