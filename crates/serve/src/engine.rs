@@ -6,7 +6,7 @@
 //! conform to, and a [`CouplingMonitor`] running §4.3 change-point
 //! detection over the live reward stream.
 
-use crate::protocol::{ok_response, InitSpec, PolicySpec};
+use crate::protocol::{error_response, ok_response, InitSpec, PolicySpec, Request};
 use ddn_estimators::{
     ActionEmbedding, AdaptiveWeights, OnlineAdaptiveDr, OnlineAdaptiveIps, OnlineClippedIps,
     OnlineDm, OnlineDr, OnlineEstimator, OnlineIps, OnlineMarginalizedDr, OnlineSeqDr,
@@ -18,7 +18,8 @@ use ddn_stats::changepoint::{pelt, CostModel, Penalty};
 use ddn_stats::Json;
 use ddn_telemetry::Collector;
 use ddn_trace::{DecisionSpace, Trace, TraceRecord};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// How many of the most recent rewards the coupling monitor keeps. The
 /// server must stay O(1) per session in the stream length, so change
@@ -451,12 +452,10 @@ impl Session {
     /// the stored init request through [`Request::parse`] (the same code
     /// path a live init takes), then loads estimator, coupling, and
     /// dedup state on top. Any failure discards the partial session.
-    ///
-    /// [`Request::parse`]: crate::protocol::Request::parse
     pub fn from_state(state: &Json) -> Result<Session, String> {
         let init = state.get("init").ok_or("session state needs \"init\"")?;
-        let spec = match crate::protocol::Request::parse(&init.to_string()) {
-            Ok(crate::protocol::Request::Init(spec)) => spec,
+        let spec = match Request::parse(&init.to_string()) {
+            Ok(Request::Init(spec)) => spec,
             Ok(_) => return Err("session state \"init\" is not an init request".into()),
             Err(e) => return Err(format!("session state init: {e}")),
         };
@@ -543,7 +542,7 @@ impl Engine {
                 self.sessions.insert(id.clone(), s);
                 ok_response(vec![("session", Json::str(id))])
             }
-            Err(e) => crate::protocol::error_response(&e),
+            Err(e) => error_response(&e),
         }
     }
 
@@ -564,7 +563,7 @@ impl Engine {
         seq: Option<u64>,
     ) -> Json {
         let Some(s) = self.sessions.get_mut(session) else {
-            return crate::protocol::error_response(&format!("unknown session {session:?}"));
+            return error_response(&format!("unknown session {session:?}"));
         };
         let seq = seq.unwrap_or(s.next_seq);
         if seq == s.next_seq {
@@ -574,7 +573,7 @@ impl Engine {
                     ("total", Json::Int(s.accepted() as i64)),
                     ("seq", Json::Int(seq as i64)),
                 ]),
-                Err(e) => crate::protocol::error_response(&e),
+                Err(e) => error_response(&e),
             };
             // A rejected batch is acknowledged (negatively) too: the
             // client may never see the response and will retry the same
@@ -592,22 +591,19 @@ impl Engine {
                     fields.push(("duplicate".to_string(), Json::Bool(true)));
                     Json::Object(fields)
                 }
-                _ => crate::protocol::error_response(&format!(
+                _ => error_response(&format!(
                     "seq {seq} already consumed but its acknowledgement is gone"
                 )),
             }
         } else {
-            crate::protocol::error_response(&format!(
-                "seq {seq} out of order (expected {})",
-                s.next_seq
-            ))
+            error_response(&format!("seq {seq} out of order (expected {})", s.next_seq))
         }
     }
 
     /// The current estimates for a session.
     pub fn handle_estimate(&mut self, session: &str) -> Json {
         match self.sessions.get_mut(session) {
-            None => crate::protocol::error_response(&format!("unknown session {session:?}")),
+            None => error_response(&format!("unknown session {session:?}")),
             Some(s) => s.estimate_json(),
         }
     }
@@ -668,12 +664,81 @@ impl Engine {
     pub fn remove_session(&mut self, session: &str) -> bool {
         self.sessions.remove(session).is_some()
     }
+
+    /// Applies one session request (`init`, `ingest` or `estimate`): the
+    /// one state transition live traffic and WAL replay share, so a
+    /// recovered shard is the shard the clients built. `poisoned` holds
+    /// the quarantined sessions: they answer `degraded` until a re-init
+    /// lifts the quarantine. An ingest whose session id contains
+    /// `failpoint` panics (a test hook); the panic is caught and
+    /// quarantines the session, whose state may be half-applied.
+    ///
+    /// `log` is the write-ahead hook. It runs once for every init and
+    /// every ingest to a healthy session — rejected batches included, as
+    /// a reject consumes its sequence number — before any state changes;
+    /// if it fails, the request is not applied and its error is the
+    /// reply. Returns the reply and whether the request panicked.
+    pub fn apply(
+        &mut self,
+        req: Request,
+        poisoned: &mut HashSet<String>,
+        failpoint: Option<&str>,
+        log: impl FnOnce() -> Result<(), String>,
+    ) -> (Json, bool) {
+        match req {
+            Request::Ingest { ref session, .. } | Request::Estimate { ref session }
+                if poisoned.contains(session) =>
+            {
+                (degraded_response(session), false)
+            }
+            Request::Init(spec) => {
+                if let Err(e) = log() {
+                    return (error_response(&e), false);
+                }
+                // The replacement session is built from scratch,
+                // sequence numbers included.
+                poisoned.remove(&spec.session);
+                (self.handle_init(spec), false)
+            }
+            Request::Ingest {
+                session,
+                records,
+                seq,
+            } => {
+                if let Err(e) = log() {
+                    return (error_response(&e), false);
+                }
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    if failpoint.is_some_and(|marker| session.contains(marker)) {
+                        panic!("failpoint hit for session {session:?}");
+                    }
+                    self.handle_ingest(&session, &records, seq)
+                }));
+                match outcome {
+                    Ok(resp) => (resp, false),
+                    Err(_) => {
+                        self.remove_session(&session);
+                        let resp = degraded_response(&session);
+                        poisoned.insert(session);
+                        (resp, true)
+                    }
+                }
+            }
+            Request::Estimate { session } => (self.handle_estimate(&session), false),
+            _ => (error_response("not a session request"), false),
+        }
+    }
+}
+
+fn degraded_response(session: &str) -> Json {
+    error_response(&format!(
+        "session {session:?} degraded: a worker panicked while serving it; re-init to recover"
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::Request;
     use ddn_estimators::Estimator;
     use ddn_stats::rng::{Rng, Xoshiro256};
     use ddn_trace::{Context, ContextSchema, Decision};

@@ -29,7 +29,8 @@
 //!   recent request events dumped on worker panic and served by the
 //!   `stats` verb for causal post-mortems.
 //! - [`wal`] — the per-shard write-ahead log: length-prefixed,
-//!   checksummed frames holding the request lines a shard consumed.
+//!   checksummed frames holding the requests a shard consumed, as they
+//!   arrived.
 //! - [`snapshot`] — periodic full-state snapshots and crash-resume:
 //!   restore the latest valid snapshot, replay the WAL tail, self-heal.
 //!

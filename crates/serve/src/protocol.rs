@@ -55,13 +55,13 @@
 //! ## Binary batch frames
 //!
 //! Alongside the JSON verbs, a connection may send an `ingest` as one
-//! length-prefixed binary columnar frame (magic byte `0xDB`, which can
-//! never open a JSON line). The frame decodes to exactly the same
-//! [`Request::Ingest`] — session, records, optional `seq` and `id` —
-//! and is answered by the same one-line JSON response. JSON stays the
-//! debug/compat protocol; the frame is the high-throughput encoding.
-//! Byte layout and invariants live in [`crate::frame`] and DESIGN.md
-//! §14.
+//! length-prefixed binary columnar frame (magic `0xDB "DN1"`; `0xDB` can
+//! never open a JSON line). [`decode`] takes either encoding; a frame
+//! decodes to exactly the same [`Request::Ingest`] — session, records,
+//! optional `seq` and `id` — and is answered by the same JSON response.
+//! JSON stays the debug/compat protocol; the frame is the high-throughput
+//! encoding. Byte layout and invariants live in [`crate::frame`] and
+//! DESIGN.md §14.
 
 use ddn_stats::Json;
 use ddn_trace::{ContextSchema, DecisionSpace, TraceRecord};
@@ -130,12 +130,12 @@ pub struct InitSpec {
 
 impl InitSpec {
     /// Re-serializes the spec as a complete, parseable init request line
-    /// (the `"verb":"init"` object). This is the WAL/snapshot encoding of
-    /// a session's configuration: recovery feeds it back through
-    /// [`Request::parse`], so replay exercises the same code path as live
-    /// traffic. Round-tripping is exact — the workspace JSON float
-    /// formatting is bit-preserving, and `parse_init`'s `.reindexed()` is
-    /// idempotent on an already-reindexed schema.
+    /// (the `"verb":"init"` object). This is the snapshot encoding of a
+    /// session's configuration: restore feeds it back through
+    /// [`Request::parse`], the parser live inits take. Round-tripping is
+    /// exact — the workspace JSON float formatting is bit-preserving, and
+    /// `parse_init`'s `.reindexed()` is idempotent on an already-reindexed
+    /// schema.
     pub fn to_json(&self) -> Json {
         let mut fields = vec![
             ("verb", Json::str("init")),
@@ -169,9 +169,8 @@ impl InitSpec {
     }
 }
 
-/// The ingest request line for `records` — the WAL encoding of a
-/// sequenced batch (the conn thread parses lines before shard dispatch,
-/// so the worker rebuilds the wire form to log it).
+/// The JSON `ingest` request object for `records`, as
+/// [`ServeClient::ingest`](crate::ServeClient::ingest) sends it.
 pub fn ingest_request_json(session: &str, records: &[TraceRecord], seq: Option<u64>) -> Json {
     let mut fields = vec![
         ("verb", Json::str("ingest")),
@@ -275,6 +274,45 @@ impl Request {
             "shutdown" => Ok(Request::Shutdown),
             other => Err(format!("unknown verb {other:?}")),
         }
+    }
+
+    /// The session a request is routed by (`None` for the server-wide
+    /// verbs `health`, `stats` and `shutdown`).
+    pub fn session(&self) -> Option<&str> {
+        match self {
+            Request::Init(spec) => Some(&spec.session),
+            Request::Ingest { session, .. } | Request::Estimate { session } => Some(session),
+            Request::Health | Request::Stats { .. } | Request::Shutdown => None,
+        }
+    }
+}
+
+/// Decodes one request exactly as it arrived — a JSON line (newline
+/// stripped) or a complete binary frame, told apart by the full 4-byte
+/// [`FRAME_MAGIC`](crate::frame::FRAME_MAGIC) — into the request and the
+/// id to echo. The id survives a request that fails validation, so even
+/// an error reply correlates. This is the one decoder: the dispatcher
+/// runs it on live traffic and recovery runs it on WAL payloads, which
+/// are the same bytes.
+pub fn decode(bytes: &[u8]) -> (Result<Request, String>, Option<Json>) {
+    if bytes.starts_with(&crate::frame::FRAME_MAGIC) {
+        return match crate::frame::decode(bytes) {
+            Ok(b) => {
+                let req = Request::Ingest {
+                    session: b.session,
+                    records: b.records,
+                    seq: b.seq,
+                };
+                (Ok(req), b.id.map(|i| Json::Int(i as i64)))
+            }
+            Err(e) => (Err(format!("bad frame: {e}")), None),
+        };
+    }
+    // Junk bytes are tolerated: lossy decoding turns them into a parse
+    // error (or a U+FFFD in a string), never a dropped connection.
+    match Json::parse(String::from_utf8_lossy(bytes).trim()) {
+        Ok(v) => (Request::from_json(&v), request_id(&v)),
+        Err(e) => (Err(format!("bad JSON: {e}")), None),
     }
 }
 
@@ -619,6 +657,49 @@ mod tests {
         // No id, no field.
         let resp = attach_id(ok_response(vec![]), None);
         assert!(resp.get("id").is_none());
+    }
+
+    #[test]
+    fn decode_picks_the_encoding_by_the_full_frame_magic() {
+        // A JSON line, padded, with an id.
+        let (req, id) = decode(b" {\"verb\":\"estimate\",\"session\":\"s\",\"id\":\"q\"}\r");
+        assert_eq!(req.unwrap().session(), Some("s"));
+        assert_eq!(id, Some(Json::str("q")));
+
+        // A bad verb fails validation but still carries its id.
+        let (req, id) = decode(br#"{"verb":"warp","id":9}"#);
+        assert!(req.unwrap_err().contains("unknown verb"));
+        assert_eq!(id, Some(Json::Int(9)));
+
+        // 0xDB without the rest of the magic is a JSON line — a bad one.
+        let (req, id) = decode(b"\xDBjunk\n");
+        assert!(req.unwrap_err().starts_with("bad JSON"));
+        assert_eq!(id, None);
+
+        // A full-magic frame whose crc no longer matches is a bad frame.
+        let schema = ContextSchema::builder().categorical("g", 2).build();
+        let c = Context::build(&schema).set_cat("g", 1).finish();
+        let rec = TraceRecord::new(c, Decision::from_index(1), 0.5).with_propensity(0.25);
+        let frame = crate::frame::encode("s", std::slice::from_ref(&rec), Some(3), Some(77)).unwrap();
+        let mut flipped = frame.clone();
+        *flipped.last_mut().unwrap() ^= 0x01;
+        let (req, id) = decode(&flipped);
+        assert!(req.unwrap_err().starts_with("bad frame"));
+        assert_eq!(id, None);
+
+        // A valid frame is an ingest, echoing its integer id.
+        let (req, id) = decode(&frame);
+        let Ok(Request::Ingest {
+            session,
+            records,
+            seq,
+        }) = req
+        else {
+            panic!("expected ingest");
+        };
+        assert_eq!((session.as_str(), seq), ("s", Some(3)));
+        assert_eq!(records, vec![rec]);
+        assert_eq!(id, Some(Json::Int(77)));
     }
 
     #[test]

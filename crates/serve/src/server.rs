@@ -5,8 +5,8 @@
 //!
 //! ```text
 //! event loop ──(complete requests)──▶ dispatchers (fixed pool)
-//!   │  epoll over listener,              │  parse JSON line or decode
-//!   │  every connection, and             │  binary frame → Request
+//!   │  epoll over listener,              │  protocol::decode (JSON line
+//!   │  every connection, and             │  or binary frame) → Request
 //!   │  a completion waker                │  hash(session) → shard
 //!   ▼                                    ▼
 //! accept / read / frame          bounded sync_channel (backpressure)
@@ -21,8 +21,12 @@
 //! thread holds ~100k idle connections at a few hundred bytes each
 //! instead of a stack per connection. Complete requests are handed to a
 //! fixed pool of dispatcher threads ([`ServeConfig::dispatchers`]) that
-//! do the parsing/decoding and the shard round-trip, then queue the
-//! response bytes back to the loop through an eventfd waker.
+//! decode them and do the shard round-trip, then queue the response
+//! bytes back to the loop through an eventfd waker. A session request
+//! travels to its shard with the bytes it arrived as: the shard logs
+//! those bytes to its WAL and applies the request through
+//! [`Engine::apply`], and recovery replays the log through the same
+//! decoder and the same function.
 //!
 //! Each connection is stop-and-wait: one request in flight at a time,
 //! responses written in request order. Pipelined bytes wait in the
@@ -53,13 +57,13 @@
 //! A connection that sends junk bytes, a torn line or frame, or an
 //! oversized line gets an error response (or is dropped at EOF) without
 //! affecting other connections; such events count
-//! `serve.fault.conn_errors`. A shard worker that panics mid-request is
-//! caught ([`std::panic::catch_unwind`] around each message), the
-//! session whose request panicked is quarantined (its state may be
-//! half-applied), and the worker keeps serving its other sessions — the
-//! panic costs one session, not the server. Quarantined sessions answer
-//! every request with a `degraded` error (re-`init` lifts the
-//! quarantine) and show up in `health` under `serve/<session>/degraded`.
+//! `serve.fault.conn_errors`. A panic mid-ingest is caught by
+//! [`Engine::apply`], the session whose request panicked is quarantined
+//! (its state may be half-applied), and the worker keeps serving its
+//! other sessions — the panic costs one session, not the server.
+//! Quarantined sessions answer every request with a `degraded` error
+//! (re-`init` lifts the quarantine) and show up in `health` under
+//! `serve/<session>/degraded`.
 //!
 //! ## Shutdown contract
 //!
@@ -76,22 +80,18 @@ use crate::engine::Engine;
 use crate::eventloop::{Epoll, Event, Waker, EPOLLIN, EPOLLOUT};
 use crate::flightrec::{flightrec_path, FlightRecorder};
 use crate::frame::{self, FRAME_MAGIC, FRAME_PREFIX_BYTES};
-use crate::protocol::{
-    attach_id, error_response, ingest_request_json, ok_response, request_id, InitSpec, Request,
-};
+use crate::protocol::{attach_id, decode, error_response, ok_response, Request};
 use crate::snapshot::{check_meta, RecoverReport, ShardDurability};
 use crate::transport::{TcpTransport, Transport};
 use crate::wal::MAX_FRAME_BYTES;
 use ddn_stats::Json;
 use ddn_telemetry::{Collector, Counter, Gauge, Histogram, Registry, TelemetrySnapshot};
-use ddn_trace::TraceRecord;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender, TrySendError};
@@ -378,27 +378,19 @@ impl ServerStats {
 
 /// Messages a dispatcher sends to a shard worker. Replies travel over a
 /// per-request channel so a slow shard never blocks other dispatchers.
+// Nearly every message is a `Request`: boxing it would add an allocation
+// per request only to shrink the rare probe variants.
+#[allow(clippy::large_enum_variant)]
 enum ShardMsg {
-    Init {
-        spec: InitSpec,
+    /// A session request (`init`, `ingest` or `estimate`), applied
+    /// through [`Engine::apply`].
+    Request {
+        req: Request,
+        /// The bytes the request arrived as (a JSON line or a binary
+        /// frame): what the WAL logs, so replay decodes what the
+        /// dispatcher decoded.
+        wire: Vec<u8>,
         /// Enqueue time, for the queue-wait histogram.
-        at: Instant,
-        reply: Sender<Json>,
-    },
-    Ingest {
-        session: String,
-        records: Vec<TraceRecord>,
-        seq: Option<u64>,
-        /// The verbatim binary frame this batch arrived as, if it came
-        /// over the binary protocol: the WAL logs these bytes untouched
-        /// so crash-resume replays the exact frame (DESIGN.md §14).
-        /// `None` for JSON ingests, which log the canonical re-encoding.
-        raw: Option<Vec<u8>>,
-        at: Instant,
-        reply: Sender<Json>,
-    },
-    Estimate {
-        session: String,
         at: Instant,
         reply: Sender<Json>,
     },
@@ -584,18 +576,11 @@ const TOKEN_WAKER: u64 = 1;
 const TOKEN_CONN0: u64 = 2;
 
 /// One complete request the event loop framed off a connection, headed
-/// for a dispatcher.
+/// for a dispatcher: a JSON line (newline stripped) or a binary frame
+/// (magic through crc).
 struct WorkItem {
     conn_id: u64,
-    payload: Payload,
-}
-
-/// The two wire encodings a request can arrive in.
-enum Payload {
-    /// One newline-delimited JSON line (newline stripped).
-    Line(Vec<u8>),
-    /// One complete binary frame, magic through crc.
-    Frame(Vec<u8>),
+    bytes: Vec<u8>,
 }
 
 /// A finished response headed back to the event loop for writing.
@@ -831,7 +816,7 @@ enum Extract {
     /// Not enough bytes yet.
     Need,
     /// A complete request, off to a dispatcher.
-    Item(Payload),
+    Item(Vec<u8>),
     /// A whitespace-only line: skipped, no response (keep extracting).
     Skip,
     /// An oversized JSON line finished discarding: error, keep conn.
@@ -882,8 +867,7 @@ fn extract_request(conn: &mut Conn, max_line_bytes: usize) -> Extract {
             if conn.inbuf.len() < total {
                 return Extract::Need;
             }
-            let bytes: Vec<u8> = conn.inbuf.drain(..total).collect();
-            return Extract::Item(Payload::Frame(bytes));
+            return Extract::Item(conn.inbuf.drain(..total).collect());
         }
     }
     match conn.inbuf.iter().position(|&b| b == b'\n') {
@@ -896,13 +880,11 @@ fn extract_request(conn: &mut Conn, max_line_bytes: usize) -> Extract {
                 return Extract::OverflowedLine;
             }
             let line: Vec<u8> = conn.inbuf.drain(..=i).take(i).collect();
-            // Junk bytes are tolerated: lossy decoding plus parse errors
-            // produce an error response, never a dropped connection — but
-            // whitespace-only lines get no response at all.
+            // Whitespace-only lines get no response at all.
             if String::from_utf8_lossy(&line).trim().is_empty() {
                 Extract::Skip
             } else {
-                Extract::Item(Payload::Line(line))
+                Extract::Item(line)
             }
         }
         None => {
@@ -970,12 +952,12 @@ fn pump_conn(
         // 3. Frame the next request off the input buffer.
         match extract_request(conn, max_line_bytes) {
             Extract::Skip => continue,
-            Extract::Item(payload) => {
+            Extract::Item(bytes) => {
                 conn.in_flight = true;
                 if work_tx
                     .send(WorkItem {
                         conn_id: token,
-                        payload,
+                        bytes,
                     })
                     .is_err()
                 {
@@ -1273,8 +1255,10 @@ fn accept_ready(
 }
 
 /// A dispatcher thread: pulls framed requests off the shared queue,
-/// parses/decodes them, does the shard round-trip, and hands the
-/// response bytes back to the event loop.
+/// decodes them, does the shard round-trip, and hands the response
+/// bytes back to the event loop. A request that fails decoding (bad
+/// JSON, unknown verb, crc mismatch) gets an error reply but keeps the
+/// connection: the framer already located the next request boundary.
 #[allow(clippy::too_many_arguments)]
 fn dispatcher(
     work_rx: Arc<Mutex<Receiver<WorkItem>>>,
@@ -1293,15 +1277,14 @@ fn dispatcher(
         let Ok(item) = item else {
             return; // event loop exited and dropped the work channel
         };
-        let (resp, close) = match item.payload {
-            Payload::Line(line) => {
-                process_line(&line, &senders, &shutdown, &stats, local_addr, trace)
-            }
-            Payload::Frame(bytes) => {
-                process_frame(bytes, &senders, &shutdown, &stats, local_addr, trace)
-            }
+        let (req, id) = decode(&item.bytes);
+        let (resp, close) = match req {
+            Ok(req) => dispatch(
+                req, item.bytes, &senders, &shutdown, &stats, local_addr, trace,
+            ),
+            Err(e) => (error_response(&e), false),
         };
-        let mut bytes = resp.to_string().into_bytes();
+        let mut bytes = attach_id(resp, id).to_string().into_bytes();
         bytes.push(b'\n');
         if done_tx
             .send(Completion {
@@ -1317,80 +1300,20 @@ fn dispatcher(
     }
 }
 
-/// Handles one JSON request line: parse, dispatch, echo the id.
-fn process_line(
-    line: &[u8],
-    senders: &[SyncSender<ShardMsg>],
-    shutdown: &AtomicBool,
-    stats: &ServerStats,
-    local_addr: SocketAddr,
-    trace: bool,
-) -> (Json, bool) {
-    let text = String::from_utf8_lossy(line);
-    match Json::parse(text.trim()) {
-        Ok(v) => {
-            // The id is extracted before verb validation so even an
-            // error response for a malformed request echoes it — the
-            // client can always correlate.
-            let id = request_id(&v);
-            let (resp, close) = match Request::from_json(&v) {
-                Ok(req) => dispatch(req, None, senders, shutdown, stats, local_addr, trace),
-                Err(e) => (error_response(&e), false),
-            };
-            (attach_id(resp, id), close)
-        }
-        Err(e) => (error_response(&format!("bad JSON: {e}")), false),
-    }
-}
-
-/// Handles one complete binary frame: decode, dispatch as an ingest,
-/// echo the frame's integer id. A frame that fails decoding (crc
-/// mismatch, malformed body) gets an error response but keeps the
-/// connection — the length prefix already located the next request
-/// boundary, exactly like a bad JSON line.
-fn process_frame(
-    bytes: Vec<u8>,
-    senders: &[SyncSender<ShardMsg>],
-    shutdown: &AtomicBool,
-    stats: &ServerStats,
-    local_addr: SocketAddr,
-    trace: bool,
-) -> (Json, bool) {
-    match frame::decode(&bytes) {
-        Ok(batch) => {
-            let id = batch.id.map(|i| Json::Int(i as i64));
-            let req = Request::Ingest {
-                session: batch.session,
-                records: batch.records,
-                seq: batch.seq,
-            };
-            let (resp, close) =
-                dispatch(req, Some(bytes), senders, shutdown, stats, local_addr, trace);
-            (attach_id(resp, id), close)
-        }
-        Err(e) => (error_response(&format!("bad frame: {e}")), false),
-    }
-}
-
-fn degraded_response(session: &str) -> Json {
-    error_response(&format!(
-        "session {session:?} degraded: a worker panicked while serving it; re-init to recover"
-    ))
-}
-
-/// Write-ahead-logs one request payload (a JSON line or a verbatim
-/// binary frame), updating the WAL counters. `Ok(())` with no
-/// durability configured. On an I/O error the request MUST NOT be
-/// applied (the ack would describe state a restart loses); the caller
-/// returns the error to the client instead.
+/// Write-ahead-logs one request's wire bytes (a JSON line or a binary
+/// frame), updating the WAL counters. `Ok(())` with no durability
+/// configured. On an I/O error the request MUST NOT be applied (the ack
+/// would describe state a restart loses); the error is its reply.
 fn wal_log(
     durability: &mut Option<ShardDurability>,
     stats: &ServerStats,
     wal_lag: &Gauge,
-    payload: &[u8],
-) -> std::io::Result<()> {
+    wire: &[u8],
+) -> Result<(), String> {
     if let Some(d) = durability {
-        let bytes = d.log_request(payload)?;
+        let bytes = d
+            .log_request(wire)
+            .map_err(|e| format!("durability failure: {e}"))?;
         stats.wal_frames.inc();
         stats.wal_bytes.add(bytes as u64);
         // Set at log time (not rotation time) so the gauge is settled
@@ -1438,146 +1361,65 @@ fn shard_worker(
     while let Ok(msg) = rx.recv() {
         stats.queue_dec();
         match msg {
-            ShardMsg::Init { spec, at, reply } => {
-                let started = Instant::now();
-                let session = spec.session.clone();
-                // Write-ahead: the init line is durable before the session
-                // exists, so an acknowledged init always survives a kill.
-                if let Err(e) = wal_log(
-                    &mut durability,
-                    &stats,
-                    &ctx.metrics.wal_lag,
-                    spec.to_json().to_string().as_bytes(),
-                ) {
-                    observe_request(
-                        &ctx, &mut flight, &ctx.metrics.init, "init", &session, None, 0,
-                        "error", at, started,
-                    );
-                    let _ = reply.send(error_response(&format!("durability failure: {e}")));
-                    continue;
-                }
-                // Re-init lifts a quarantine: the replacement session is
-                // built from scratch, sequence numbers included.
-                poisoned.remove(&session);
-                let resp = engine.handle_init(spec);
-                ctx.metrics.sessions.set(engine.sessions() as f64);
-                observe_request(
-                    &ctx, &mut flight, &ctx.metrics.init, "init", &session, None, 0,
-                    outcome_of(&resp), at, started,
-                );
-                let _ = reply.send(resp);
-                wal_maybe_snapshot(&mut durability, &stats, &engine, &poisoned);
-            }
-            ShardMsg::Ingest {
-                session,
-                records,
-                seq,
-                raw,
+            ShardMsg::Request {
+                req,
+                wire,
                 at,
                 reply,
             } => {
                 let started = Instant::now();
-                let nrec = records.len() as u64;
-                if poisoned.contains(&session) {
-                    observe_request(
-                        &ctx, &mut flight, &ctx.metrics.ingest, "ingest", &session, seq,
-                        nrec, "error", at, started,
-                    );
-                    let _ = reply.send(degraded_response(&session));
-                    continue;
-                }
-                // Write-ahead of the verdict, whatever it turns out to be:
-                // even a rejected sequenced batch consumes its sequence
-                // number, so replay must reproduce the rejection or
-                // recovery would desynchronize the dedup window. Binary
-                // batches log the client's frame bytes verbatim; JSON
-                // batches log the canonical re-encoding.
-                let payload = match &raw {
-                    Some(frame_bytes) => frame_bytes.clone(),
-                    None => ingest_request_json(&session, &records, seq)
-                        .to_string()
-                        .into_bytes(),
+                let (verb, metrics, seq, nrec) = match &req {
+                    Request::Init(_) => ("init", &ctx.metrics.init, None, 0),
+                    Request::Ingest { seq, records, .. } => {
+                        ("ingest", &ctx.metrics.ingest, *seq, records.len() as u64)
+                    }
+                    _ => ("estimate", &ctx.metrics.estimate, None, 0),
                 };
-                if let Err(e) =
-                    wal_log(&mut durability, &stats, &ctx.metrics.wal_lag, &payload)
-                {
-                    observe_request(
-                        &ctx, &mut flight, &ctx.metrics.ingest, "ingest", &session, seq,
-                        nrec, "error", at, started,
-                    );
-                    let _ = reply.send(error_response(&format!("durability failure: {e}")));
-                    continue;
+                let session = req.session().unwrap_or_default().to_string();
+                let (resp, panicked) =
+                    engine.apply(req, &mut poisoned, failpoint.as_deref(), || {
+                        wal_log(&mut durability, &stats, &ctx.metrics.wal_lag, &wire)
+                    });
+                // Only ingest replies carry `duplicate` and `accepted`.
+                let duplicate = resp.get("duplicate") == Some(&Json::Bool(true));
+                if duplicate {
+                    stats.dedup_replays.inc();
+                } else if let Some(accepted) = resp.get("accepted").and_then(Json::as_u64) {
+                    stats.ingest_records.add(accepted);
                 }
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    if let Some(marker) = &failpoint {
-                        if session.contains(marker.as_str()) {
-                            panic!("failpoint hit for session {session:?}");
-                        }
-                    }
-                    engine.handle_ingest(&session, &records, seq)
-                }));
-                match outcome {
-                    Ok(resp) => {
-                        let duplicate =
-                            resp.get("duplicate") == Some(&Json::Bool(true));
-                        if duplicate {
-                            stats.dedup_replays.inc();
-                        } else if let Some(accepted) =
-                            resp.get("accepted").and_then(Json::as_u64)
-                        {
-                            stats.ingest_records.add(accepted);
-                        }
-                        ctx.metrics.sessions.set(engine.sessions() as f64);
-                        let oc = if duplicate { "duplicate" } else { outcome_of(&resp) };
-                        observe_request(
-                            &ctx, &mut flight, &ctx.metrics.ingest, "ingest", &session,
-                            seq, nrec, oc, at, started,
-                        );
-                        let _ = reply.send(resp);
-                        wal_maybe_snapshot(&mut durability, &stats, &engine, &poisoned);
-                    }
-                    Err(_) => {
-                        // The worker survives the panic: quarantine the
-                        // one session whose state is now suspect and keep
-                        // serving the rest of the shard.
-                        stats.fault_worker_restarts.inc();
-                        engine.remove_session(&session);
-                        poisoned.insert(session.clone());
-                        ctx.metrics.sessions.set(engine.sessions() as f64);
-                        observe_request(
-                            &ctx, &mut flight, &ctx.metrics.ingest, "ingest", &session,
-                            seq, nrec, "panic", at, started,
-                        );
-                        // Post-mortem: dump the ring — ending with the
-                        // request that panicked — before answering, so
-                        // the evidence is on disk even if the process is
-                        // killed right after.
-                        if let Some(dir) = &ctx.flight_dir {
-                            let path = flightrec_path(dir, ctx.shard);
-                            if let Err(e) = flight.dump(&path) {
-                                eprintln!("ddn-serve: flight-recorder dump failed: {e}");
-                            }
-                        }
-                        let _ = reply.send(degraded_response(&session));
-                    }
-                }
-            }
-            ShardMsg::Estimate { session, at, reply } => {
-                let started = Instant::now();
-                if poisoned.contains(&session) {
-                    observe_request(
-                        &ctx, &mut flight, &ctx.metrics.estimate, "estimate", &session,
-                        None, 0, "error", at, started,
-                    );
-                    let _ = reply.send(degraded_response(&session));
-                    continue;
-                }
-                let resp = engine.handle_estimate(&session);
+                ctx.metrics.sessions.set(engine.sessions() as f64);
+                let outcome = match (panicked, duplicate) {
+                    (true, _) => "panic",
+                    (_, true) => "duplicate",
+                    _ => outcome_of(&resp),
+                };
                 observe_request(
-                    &ctx, &mut flight, &ctx.metrics.estimate, "estimate", &session, None,
-                    0, outcome_of(&resp), at, started,
+                    &ctx,
+                    &mut flight,
+                    metrics,
+                    verb,
+                    &session,
+                    seq,
+                    nrec,
+                    outcome,
+                    at,
+                    started,
                 );
+                if panicked {
+                    // The worker survived the panic and `apply` quarantined
+                    // the one session whose state is now suspect. Post-
+                    // mortem: dump the ring — ending with the request that
+                    // panicked — before answering, so the evidence is on
+                    // disk even if the process is killed right after.
+                    stats.fault_worker_restarts.inc();
+                    if let Some(dir) = &ctx.flight_dir {
+                        if let Err(e) = flight.dump(&flightrec_path(dir, ctx.shard)) {
+                            eprintln!("ddn-serve: flight-recorder dump failed: {e}");
+                        }
+                    }
+                }
                 let _ = reply.send(resp);
+                wal_maybe_snapshot(&mut durability, &stats, &engine, &poisoned);
             }
             ShardMsg::Collect(reply) => {
                 let mut c = engine.collector();
@@ -1646,12 +1488,12 @@ fn record_conn_verb(stats: &ServerStats, verb: &str, trace: bool, started: Insta
     }
 }
 
-/// Routes one parsed request and returns the response to write, plus
-/// whether to close the connection after replying. `raw` carries the
-/// verbatim binary frame for binary ingests (WAL-logged untouched).
+/// Routes one decoded request and returns the response to write, plus
+/// whether to close the connection after replying. `wire` is the bytes
+/// the request arrived as; session requests carry them to their shard.
 fn dispatch(
     req: Request,
-    raw: Option<Vec<u8>>,
+    wire: Vec<u8>,
     senders: &[SyncSender<ShardMsg>],
     shutdown: &AtomicBool,
     stats: &ServerStats,
@@ -1660,52 +1502,7 @@ fn dispatch(
 ) -> (Json, bool) {
     // Enqueue time for shard verbs; handler start for dispatcher verbs.
     let at = Instant::now();
-    // Round-trips one message to a shard and waits for its reply.
-    let ask = |shard: usize, msg: ShardMsg, rx: Receiver<Json>| -> Json {
-        if send_with_backpressure(&senders[shard], msg, stats).is_err() {
-            return error_response("server is shutting down");
-        }
-        rx.recv()
-            .unwrap_or_else(|_| error_response("shard worker unavailable"))
-    };
     match req {
-        Request::Init(spec) => {
-            let shard = shard_of(&spec.session, senders.len());
-            let (tx, rx) = std::sync::mpsc::channel();
-            let msg = ShardMsg::Init {
-                spec,
-                at,
-                reply: tx,
-            };
-            (ask(shard, msg, rx), false)
-        }
-        Request::Ingest {
-            session,
-            records,
-            seq,
-        } => {
-            let shard = shard_of(&session, senders.len());
-            let (tx, rx) = std::sync::mpsc::channel();
-            let msg = ShardMsg::Ingest {
-                session,
-                records,
-                seq,
-                raw,
-                at,
-                reply: tx,
-            };
-            (ask(shard, msg, rx), false)
-        }
-        Request::Estimate { session } => {
-            let shard = shard_of(&session, senders.len());
-            let (tx, rx) = std::sync::mpsc::channel();
-            let msg = ShardMsg::Estimate {
-                session,
-                at,
-                reply: tx,
-            };
-            (ask(shard, msg, rx), false)
-        }
         Request::Health => {
             let mut collectors = Vec::with_capacity(senders.len() + 1);
             collectors.push(stats.collector());
@@ -1763,6 +1560,24 @@ fn dispatch(
                 ok_response(vec![("shutting_down", Json::Bool(true))]),
                 true,
             )
+        }
+        // init, ingest and estimate: one round-trip to the session's shard.
+        req => {
+            let shard = shard_of(req.session().unwrap_or_default(), senders.len());
+            let (reply, rx) = std::sync::mpsc::channel();
+            let msg = ShardMsg::Request {
+                req,
+                wire,
+                at,
+                reply,
+            };
+            if send_with_backpressure(&senders[shard], msg, stats).is_err() {
+                return (error_response("server is shutting down"), false);
+            }
+            let resp = rx
+                .recv()
+                .unwrap_or_else(|_| error_response("shard worker unavailable"));
+            (resp, false)
         }
     }
 }

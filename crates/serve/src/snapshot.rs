@@ -22,11 +22,12 @@
 //!
 //! [`ShardDurability::open`] restores the latest valid snapshot (a
 //! missing or corrupt one restores nothing), replays WAL frames with
-//! `id > last_frame_id` through the same engine code paths live traffic
-//! takes, then *self-heals*: it writes a fresh snapshot of the recovered
-//! state and starts a new WAL. That rotation absorbs torn tails, bounds
-//! replay work at the next startup, and makes a stale-snapshot-plus-
-//! newer-WAL directory converge to a consistent pair.
+//! `id > last_frame_id` through the decoder and the [`Engine::apply`]
+//! transition live traffic takes, then *self-heals*: it writes a fresh
+//! snapshot of the recovered state and starts a new WAL. That rotation
+//! absorbs torn tails, bounds replay work at the next startup, and makes
+//! a stale-snapshot-plus-newer-WAL directory converge to a consistent
+//! pair.
 //!
 //! ## Fsync policy
 //!
@@ -37,13 +38,12 @@
 //! frames since the last snapshot.
 
 use crate::engine::Engine;
-use crate::protocol::Request;
+use crate::protocol::decode;
 use crate::wal::{fnv1a, read_wal, WalWriter};
 use ddn_stats::Json;
 use std::collections::HashSet;
 use std::fs::{self, File};
 use std::io::{self, Read, Write};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
 /// File magic opening every snapshot file (also its format version).
@@ -193,46 +193,6 @@ fn snapshot_payload(engine: &Engine, poisoned: &HashSet<String>, last_frame_id: 
     ])
 }
 
-/// Replays one recovered request into the engine, mirroring the live
-/// shard-worker semantics exactly — including the test failpoint, so a
-/// panic that poisoned a session live re-poisons it on replay.
-fn replay_request(
-    req: Request,
-    failpoint: Option<&str>,
-    engine: &mut Engine,
-    poisoned: &mut HashSet<String>,
-) {
-    match req {
-        Request::Init(spec) => {
-            poisoned.remove(&spec.session);
-            let _ = engine.handle_init(spec);
-        }
-        Request::Ingest {
-            session,
-            records,
-            seq,
-        } => {
-            if poisoned.contains(&session) {
-                return;
-            }
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                if let Some(marker) = failpoint {
-                    if session.contains(marker) {
-                        panic!("failpoint hit for session {session:?}");
-                    }
-                }
-                engine.handle_ingest(&session, &records, seq)
-            }));
-            if outcome.is_err() {
-                engine.remove_session(&session);
-                poisoned.insert(session);
-            }
-        }
-        // estimate/health/shutdown never reach the WAL.
-        _ => {}
-    }
-}
-
 impl ShardDurability {
     /// Opens (recovering if needed) the durable state for `shard` under
     /// `dir`, restoring into `engine`/`poisoned`. See the module docs for
@@ -285,29 +245,15 @@ impl ShardDurability {
                 continue;
             }
             max_id = frame.id;
-            // Binary batch frames are logged verbatim (magic byte first);
-            // everything else is a JSON request line. Either way a payload
-            // that no longer decodes is skipped, not fatal: the WAL is a
-            // redo log, and an undecodable frame cannot have been applied.
-            let req = if frame.payload.first() == Some(&crate::frame::FRAME_MAGIC[0]) {
-                match crate::frame::decode(&frame.payload) {
-                    Ok(batch) => Request::Ingest {
-                        session: batch.session,
-                        records: batch.records,
-                        seq: batch.seq,
-                    },
-                    Err(_) => continue,
-                }
-            } else {
-                let Ok(text) = std::str::from_utf8(&frame.payload) else {
-                    continue;
-                };
-                let Ok(req) = Request::parse(text) else {
-                    continue;
-                };
-                req
+            // The payload is the request exactly as it arrived, so replay
+            // runs the live decoder and the live state transition on it.
+            // A payload that no longer decodes is skipped, not fatal: the
+            // WAL is a redo log, and an undecodable request was never
+            // applied.
+            let Ok(req) = decode(&frame.payload).0 else {
+                continue;
             };
-            replay_request(req, failpoint, engine, poisoned);
+            engine.apply(req, poisoned, failpoint, || Ok(()));
             report.frames_replayed += 1;
         }
         // Self-heal: persist the recovered state, then start a new WAL.
@@ -328,11 +274,10 @@ impl ShardDurability {
         ))
     }
 
-    /// Appends one request payload to the WAL, write-ahead of applying
-    /// it. The payload is either a canonical JSON request line or a
-    /// verbatim binary batch frame — recovery distinguishes the two by
-    /// the leading magic byte. Returns the bytes appended (frame header
-    /// included).
+    /// Appends one request to the WAL, write-ahead of applying it. The
+    /// payload is the request's bytes as they arrived — a JSON line or a
+    /// binary batch frame — which recovery feeds back through
+    /// [`decode`]. Returns the bytes appended (frame header included).
     pub fn log_request(&mut self, payload: &[u8]) -> io::Result<usize> {
         let before = self.wal.bytes_written();
         self.wal.append(payload)?;

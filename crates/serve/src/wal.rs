@@ -11,15 +11,15 @@
 //! crc    := FNV-1a 64 over id_le64 ++ payload
 //! ```
 //!
-//! A frame's payload is one state-bearing request exactly as it would
-//! travel on the wire: either a JSON request line (an `init` or `ingest`
-//! object, no trailing newline) or a verbatim binary batch frame
-//! ([`crate::frame`]). The WAL is literally the ordered log of every
-//! state-bearing request a shard consumed, so recovery replays frames
-//! through the same parse/decode code path live traffic takes —
-//! bit-identity for free. Recovery tells the two payload kinds apart by
-//! the leading byte: the binary magic `0xDB` can never begin a JSON
-//! request line.
+//! A frame's payload is one state-bearing request exactly as it arrived
+//! on the wire: either the received JSON request line (an `init` or
+//! `ingest` object, no trailing newline) or a verbatim binary batch
+//! frame ([`crate::frame`]). The WAL is literally the ordered log of
+//! every state-bearing request a shard consumed, so recovery replays
+//! frames through the one decoder ([`crate::protocol::decode`], which
+//! tells the two kinds apart by the full 4-byte frame magic) and the one
+//! state transition ([`crate::Engine::apply`]) live traffic takes —
+//! bit-identity for free.
 //!
 //! Frame ids are monotonic across snapshot rotations and never reused;
 //! a snapshot records the last id it covers, which is what lets recovery
@@ -86,7 +86,7 @@ pub fn encode_frame(id: u64, payload: &[u8]) -> Vec<u8> {
 pub struct WalFrame {
     /// Monotonic frame id (never reused across snapshot rotations).
     pub id: u64,
-    /// The request line this frame logged.
+    /// The request this frame logged, as it arrived on the wire.
     pub payload: Vec<u8>,
 }
 

@@ -166,16 +166,30 @@ struct DurableServer {
     dir: PathBuf,
     shards: usize,
     snapshot_every: u64,
+    /// The panic failpoint, armed on every boot.
+    failpoint: Option<String>,
     addr: Arc<Mutex<String>>,
     handle: Option<ServerHandle>,
 }
 
 impl DurableServer {
     fn start(dir: PathBuf, shards: usize, snapshot_every: u64) -> Self {
+        Self::start_with_failpoint(dir, shards, snapshot_every, None)
+    }
+
+    /// A durable server whose failpoint, if any, is armed on every boot,
+    /// so a panic logged before a kill panics again on replay.
+    fn start_with_failpoint(
+        dir: PathBuf,
+        shards: usize,
+        snapshot_every: u64,
+        failpoint: Option<&str>,
+    ) -> Self {
         let mut s = Self {
             dir,
             shards,
             snapshot_every,
+            failpoint: failpoint.map(str::to_string),
             addr: Arc::new(Mutex::new(String::new())),
             handle: None,
         };
@@ -188,6 +202,7 @@ impl DurableServer {
             shards: self.shards,
             data_dir: Some(self.dir.clone()),
             snapshot_every: self.snapshot_every,
+            failpoint: self.failpoint.clone(),
             ..ServeConfig::default()
         })
         .expect("bind durable server");
@@ -553,4 +568,194 @@ impl DurableServer {
             h.shutdown();
         }
     }
+}
+
+#[test]
+fn a_quarantined_session_stays_quarantined_across_restart() {
+    // DESIGN.md §12: a session poisoned before a crash is poisoned after
+    // it. With a large snapshot interval the panicking ingest replays
+    // from the WAL (under the same failpoint) and re-poisons the session;
+    // with an interval of 1 the quarantine comes back from the
+    // snapshot's `poisoned` list and nothing replays.
+    for (name, snapshot_every) in [("poison-wal", 1_000_000), ("poison-snap", 1)] {
+        let mut server =
+            DurableServer::start_with_failpoint(test_dir(name), 1, snapshot_every, Some("boom"));
+        let mut client = server.client();
+        client
+            .init_with("boom", &init_request("boom", MENU, None))
+            .unwrap();
+        let err = client
+            .ingest("boom", &records(12, 31))
+            .expect_err("the failpoint quarantines the session");
+        assert!(err.to_string().contains("degraded"), "{name}: {err}");
+
+        server.kill_and_restart(0);
+        let replayed = server.stats().recover_frames_replayed();
+        if snapshot_every == 1 {
+            assert_eq!(replayed, 0, "{name}: the snapshot covers every frame");
+        } else {
+            assert_eq!(replayed, 2, "{name}: init + the panicking ingest");
+        }
+        let err = client
+            .estimate("boom")
+            .expect_err("a poisoned session stays poisoned across restart");
+        assert!(err.to_string().contains("degraded"), "{name}: {err}");
+        let health = client.health().unwrap();
+        let degraded = health
+            .get("telemetry")
+            .and_then(|t| t.get("health"))
+            .and_then(|h| h.get("serve/boom/degraded"));
+        assert!(
+            degraded.is_some(),
+            "{name}: health lost the quarantine: {health}"
+        );
+
+        // Re-init lifts the quarantine: the session starts over exactly
+        // like a fresh one.
+        client
+            .init_with("boom", &init_request("boom", MENU, None))
+            .unwrap();
+        let mut fresh = Reference::default();
+        fresh.init("boom", MENU, None);
+        let est = strip_id(&client.estimate("boom").unwrap());
+        assert_eq!(
+            est.to_string(),
+            fresh.engine.handle_estimate("boom").to_string(),
+            "{name}"
+        );
+        server.finish();
+    }
+}
+
+/// One hand-written JSON record whose reward and propensity are given as
+/// literal number text, so the wire carries non-shortest float forms.
+fn record_text(g: u32, d: usize, reward: &str, propensity: &str) -> String {
+    let c = Context::build(&schema()).set_cat("g", g).finish();
+    format!(
+        r#"{{"context":{},"decision":{},"reward":{reward},"propensity":{propensity}}}"#,
+        c.to_json(),
+        Decision::from_index(d).to_json()
+    )
+}
+
+#[test]
+fn hand_written_json_lines_replay_identically() {
+    // The WAL logs each JSON request line as it arrived, so recovery must
+    // decode exactly what the live dispatcher decoded — ids, unknown
+    // fields, padding, non-shortest floats and invalid UTF-8 included.
+    let mut server = DurableServer::start(test_dir("raw-lines"), 2, 1_000_000);
+    let mut reference = Reference::default();
+    let ests = ["ips", "snips", "dm", "dr"];
+    // The 0xFF byte is not UTF-8: the live path decodes the session id
+    // lossily, and replay must land on the same (lossy) id.
+    let sessions: [(&str, &[u8], &str); 2] = [
+        ("plain", b"plain", "plain"),
+        ("badXid", b"bad\xFFid", "bad\u{FFFD}id"),
+    ];
+    let mut lines: Vec<Vec<u8>> = Vec::new();
+    for (i, (placeholder, _, _)) in sessions.iter().enumerate() {
+        let init = init_request(placeholder, &ests, None).to_string();
+        lines.push(
+            format!(
+                "  {{\"id\":\"init-{i}\",\"extra\":[1,{{}}],{}\t",
+                &init[1..]
+            )
+            .into_bytes(),
+        );
+    }
+    let batches = [
+        (
+            vec![("0.50", "0.750"), ("5e-1", "2.5e-1"), ("-0.0", "0.75")],
+            r#","seq":0"#,
+        ),
+        (vec![("-0.0", "7.5E-1"), ("2.000", "0.25")], ""),
+        (vec![("1e0", "0.75000"), ("-0.0", "0.250")], r#","seq":2"#),
+    ];
+    let values = |text: &str| text.parse::<f64>().unwrap();
+    for (k, (rows, seq)) in batches.iter().enumerate() {
+        for (placeholder, _, _) in &sessions {
+            let recs: Vec<String> = rows
+                .iter()
+                .enumerate()
+                .map(|(j, (r, p))| record_text((j % 2) as u32, (k + j) % 2, r, p))
+                .collect();
+            lines.push(
+                format!(
+                    r#"{{"verb":"ingest","id":{k},"session":"{placeholder}","records":[{}]{seq},"note":"x"}}  "#,
+                    recs.join(",")
+                )
+                .into_bytes(),
+            );
+        }
+    }
+    // Splice the invalid byte into every line naming the placeholder.
+    for line in &mut lines {
+        let (placeholder, raw, _) = sessions[1];
+        if let Some(at) = line
+            .windows(placeholder.len())
+            .position(|w| w == placeholder.as_bytes())
+        {
+            line.splice(at..at + placeholder.len(), raw.iter().copied());
+        }
+    }
+
+    let addr = server.addr.lock().unwrap().clone();
+    let stream = std::net::TcpStream::connect(&addr).unwrap();
+    let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    for line in &lines {
+        writer.write_all(line).unwrap();
+        writer.write_all(b"\r\n   \n").unwrap(); // the blank line gets no reply
+        let mut resp = String::new();
+        std::io::BufRead::read_line(&mut reader, &mut resp).unwrap();
+        let resp = Json::parse(&resp).unwrap();
+        assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "{resp}");
+        assert!(resp.get("id").is_some(), "the id must be echoed: {resp}");
+    }
+    drop((reader, writer));
+
+    for (_, _, live_id) in &sessions {
+        reference.init(live_id, &ests, None);
+    }
+    for (k, (rows, _)) in batches.iter().enumerate() {
+        for (_, _, live_id) in &sessions {
+            let recs: Vec<TraceRecord> = rows
+                .iter()
+                .enumerate()
+                .map(|(j, (r, p))| {
+                    let c = Context::build(&schema())
+                        .set_cat("g", (j % 2) as u32)
+                        .finish();
+                    TraceRecord::new(c, Decision::from_index((k + j) % 2), values(r))
+                        .with_propensity(values(p))
+                })
+                .collect();
+            reference.ingest(live_id, &recs);
+        }
+    }
+
+    server.kill_and_restart(0);
+    assert_eq!(
+        server.stats().recover_frames_replayed(),
+        lines.len() as u64,
+        "every request line replays"
+    );
+    let mut client = server.client();
+    for (_, _, live_id) in &sessions {
+        let est = strip_id(
+            &client
+                .estimate(live_id)
+                .expect("the session survives restart"),
+        );
+        assert_eq!(
+            est.to_string(),
+            reference.engine.handle_estimate(live_id).to_string(),
+            "session {live_id:?}"
+        );
+    }
+    let health = client.health().unwrap();
+    for (_, _, live_id) in &sessions {
+        assert_session_health_matches(&health, &reference.engine, live_id).unwrap();
+    }
+    server.finish();
 }

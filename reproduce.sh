@@ -185,7 +185,8 @@ if [[ "${1:-}" == "ci" ]]; then
   # process with SIGKILL (no graceful shutdown, no final snapshot),
   # restart on the same data dir, and require `ddn query` to render the
   # recovered session *identically* — same estimate bits, same record
-  # count, with no re-initialization.
+  # count, with no re-initialization. One session streams JSON lines and
+  # one binary frames, so both WAL payload kinds replay through recovery.
   data_dir="$(mktemp -d -t ddn-serve-data-XXXXXX)"
   trap 'rm -f "$telemetry_file" "$serve_trace" "$port_file"; rm -rf "$bench_dir" "$data_dir"' EXIT
   : > "$port_file"
@@ -200,7 +201,10 @@ if [[ "${1:-}" == "ci" ]]; then
   addr="$(cat "$port_file")"
   ./target/release/ddn replay-to "$serve_trace" \
     --addr "$addr" --decision cdn1/br2 --estimator ips > /dev/null
+  ./target/release/ddn replay-to "$serve_trace" --binary --session replay-bin \
+    --addr "$addr" --decision cdn1/br2 --estimator ips > /dev/null
   before_query="$(./target/release/ddn query --addr "$addr" --session replay)"
+  before_bin="$(./target/release/ddn query --addr "$addr" --session replay-bin)"
   printf '%s\n' "$before_query" | grep -q 'session: replay (300 records)'
   kill -9 "$serve_pid"
   wait "$serve_pid" 2>/dev/null || true
@@ -214,12 +218,25 @@ if [[ "${1:-}" == "ci" ]]; then
   done
   test -s "$port_file" || { echo "FAIL: restarted server never wrote its port" >&2; exit 1; }
   addr="$(cat "$port_file")"
+  after_bin="$(./target/release/ddn query --addr "$addr" --session replay-bin)"
   after_query="$(./target/release/ddn query --addr "$addr" --session replay --shutdown)"
   wait "$serve_pid"
   after_sans_shutdown="$(printf '%s\n' "$after_query" | grep -v '^server shutdown')"
   if [[ "$before_query" != "$after_sans_shutdown" ]]; then
     echo "FAIL: estimate after kill -9 + restart differs from before" >&2
     diff <(printf '%s\n' "$before_query") <(printf '%s\n' "$after_sans_shutdown") >&2 || true
+    exit 1
+  fi
+  if [[ "$before_bin" != "$after_bin" ]]; then
+    echo "FAIL: binary-streamed estimate after kill -9 + restart differs from before" >&2
+    diff <(printf '%s\n' "$before_bin") <(printf '%s\n' "$after_bin") >&2 || true
+    exit 1
+  fi
+  # Same trace, same estimator: the two encodings must report the same
+  # bits once the session names are set aside.
+  if [[ "${after_bin/replay-bin/replay}" != "$after_sans_shutdown" ]]; then
+    echo "FAIL: JSON and binary sessions recovered to different reports" >&2
+    diff <(printf '%s\n' "$after_sans_shutdown") <(printf '%s\n' "$after_bin") >&2 || true
     exit 1
   fi
   echo "== ci: observability smoke (stats verb, ddn top, flight recorder) =="
